@@ -7,15 +7,12 @@
 //               WHERE S.region = G.region WINDOW 20' sim_seconds=60
 //
 // Knobs (key=value): sim_seconds, rate, seed, backend=amri|bitmap|modules|
-// scan, bits, epsilon, theta, shards, batch_size, decision_reuse, engine.
+// scan, bits, epsilon, theta, shards, batch_size, decision_reuse.
 // `--shards N` partitions each state's window and index into N parallel
 // shards (bit-address backends). `--batch-size N` moves up to N arrivals
-// through the pipeline together (vectorized probe path). `--decision-reuse
-// N` reuses one routing decision per done-mask N times (deprecated alias:
-// `--routing-batch-size`). `--engine virtual|wall` picks the cost-metered
-// pipeline (default) or the wall-clock hot path (cross-run batching,
-// prefetching probes, drain/route overlap); `--wall-overlap 0` and
-// `--probe-prefetch 0` disable the wall-mode optimisations individually.
+// through the pipeline together (vectorized probe path; 1, the default,
+// is tuple-at-a-time). `--decision-reuse N` reuses one routing decision
+// per done-mask N times (deprecated alias: `--routing-batch-size`).
 // `--trace-out run.jsonl` attaches telemetry and
 // writes the full run trace (events + final metrics) as JSON lines.
 // `--trace-sample N` additionally traces every Nth arrival end-to-end as
@@ -30,15 +27,20 @@
 // multi_query scenario, implied when no scenario is named): the shared
 // index serves the union workload, the tuner merges per-query
 // assessments, and the report adds a per-query output table. All engine
-// knobs (`--shards`, `--batch-size`, `--engine`, `--guardrails`, …) apply
-// unchanged in multi-query mode.
+// knobs (`--shards`, `--batch-size`, `--guardrails`, …) apply unchanged
+// in multi-query mode.
 // `--guardrails 1` enables the tuner's production guardrails;
 // `--tuner-deadband`, `--tuner-hysteresis-epochs`, `--tuner-horizon`,
 // `--tuner-budget-time-us` and `--tuner-budget-mem-bytes` tune them (see
 // docs/architecture.md, "Tuner guardrails").
+// A flag the run never reads (a typo, or a knob that does not apply, such
+// as `--tuner-deadband` without `--guardrails`) is an error: the simulator
+// names it and exits 2 before running.
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/table_printer.hpp"
@@ -207,15 +209,6 @@ int main(int argc, char** argv) {
   opts.memory_budget = cfg.size_or("memory_budget", opts.memory_budget);
   opts.stem.shards = std::max<std::size_t>(cfg.size_or("shards", 1), 1);
   opts.batch_size = std::max<std::size_t>(cfg.size_or("batch_size", 1), 1);
-  const std::string engine_name = cfg.string_or("engine", "virtual");
-  if (engine_name == "wall") {
-    opts.engine = engine::EngineMode::kWall;
-  } else if (engine_name != "virtual") {
-    std::cerr << "unknown engine '" << engine_name << "' (virtual|wall)\n";
-    return 1;
-  }
-  opts.wall_overlap = cfg.bool_or("wall_overlap", true);
-  opts.wall_probe_prefetch = cfg.bool_or("probe_prefetch", true);
   // `routing_batch_size` is the knob's pre-rename name, kept as a
   // deprecated alias; `decision_reuse` wins when both are given.
   opts.eddy.decision_reuse = std::max<std::size_t>(
@@ -262,6 +255,14 @@ int main(int argc, char** argv) {
     source = std::make_unique<QuerySource>(
         query, rate, seconds_to_micros(sim_seconds),
         static_cast<std::uint64_t>(cfg.int_or("seed", 1)));
+  }
+
+  const std::vector<std::string> unread = cfg.unread_keys();
+  if (!unread.empty()) {
+    std::cerr << "amri_sim: unknown or unused flag(s):";
+    for (const std::string& key : unread) std::cerr << " " << key;
+    std::cerr << "\n";
+    return 2;
   }
 
   std::cout << "running: " << run_label;

@@ -83,18 +83,31 @@ void Config::set(std::string key, std::string value) {
   entries_[std::move(key)] = std::move(value);
 }
 
+Config::Entries::const_iterator Config::lookup(std::string_view key) const {
+  asked_.emplace(key);
+  return entries_.find(key);
+}
+
+std::vector<std::string> Config::unread_keys() const {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : entries_) {
+    if (asked_.find(key) == asked_.end()) out.push_back(key);
+  }
+  return out;
+}
+
 bool Config::has(std::string_view key) const {
-  return entries_.find(key) != entries_.end();
+  return lookup(key) != entries_.end();
 }
 
 std::optional<std::string> Config::get_string(std::string_view key) const {
-  const auto it = entries_.find(key);
+  const auto it = lookup(key);
   if (it == entries_.end()) return std::nullopt;
   return it->second;
 }
 
 std::optional<std::int64_t> Config::get_int(std::string_view key) const {
-  const auto it = entries_.find(key);
+  const auto it = lookup(key);
   if (it == entries_.end()) return std::nullopt;
   const std::string& s = it->second;
   std::int64_t v = 0;
@@ -104,7 +117,7 @@ std::optional<std::int64_t> Config::get_int(std::string_view key) const {
 }
 
 std::optional<double> Config::get_double(std::string_view key) const {
-  const auto it = entries_.find(key);
+  const auto it = lookup(key);
   if (it == entries_.end()) return std::nullopt;
   try {
     std::size_t pos = 0;
@@ -117,7 +130,7 @@ std::optional<double> Config::get_double(std::string_view key) const {
 }
 
 std::optional<bool> Config::get_bool(std::string_view key) const {
-  const auto it = entries_.find(key);
+  const auto it = lookup(key);
   if (it == entries_.end()) return std::nullopt;
   std::string v = it->second;
   std::transform(v.begin(), v.end(), v.begin(),

@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace amri {
 
@@ -44,8 +46,19 @@ class Config {
     return entries_;
   }
 
+  /// Keys that are set but were never asked for through has() or a
+  /// getter, in key order. A binary calls this once its options are
+  /// parsed to reject flags it does not know. Lookups record the keys
+  /// they ask for, so a Config must not be read from several threads.
+  std::vector<std::string> unread_keys() const;
+
  private:
-  std::map<std::string, std::string, std::less<>> entries_;
+  using Entries = std::map<std::string, std::string, std::less<>>;
+  /// entries_.find(key), recording `key` as asked for.
+  Entries::const_iterator lookup(std::string_view key) const;
+
+  Entries entries_;
+  mutable std::set<std::string, std::less<>> asked_;
 };
 
 }  // namespace amri

@@ -207,8 +207,7 @@ std::uint64_t EddyRouter::route(const Tuple* stored,
 std::uint64_t EddyRouter::route_batch(const Tuple* const* stored,
                                       const std::uint32_t* done, std::size_t n,
                                       std::vector<JoinResult>* sink,
-                                      std::size_t span_root,
-                                      const BatchVisibility* visibility) {
+                                      std::size_t span_root) {
   if (n == 0) return 0;
   // Single-arrival batches delegate; route() picks the active span up
   // directly, so span_root 0 still traces.
@@ -226,11 +225,6 @@ std::uint64_t EddyRouter::route_batch(const Tuple* const* stored,
   struct BatchPartial {
     std::uint32_t done = 0;
     std::uint32_t root = 0;  ///< index into the routed array
-    /// The root's order within the visibility horizon. Equal to `root` when
-    /// the routed array IS the batch (single-query wall mode); resolved via
-    /// BatchVisibility::order_of when a per-query sub-array is routed, so
-    /// the seq horizon keeps full-batch coordinates.
-    std::uint32_t vis_order = 0;
     SmallVector<const Tuple*, 8> members;
   };
 
@@ -244,10 +238,6 @@ std::uint64_t EddyRouter::route_batch(const Tuple* const* stored,
     BatchPartial root;
     root.done = done[i];
     root.root = static_cast<std::uint32_t>(i);
-    root.vis_order =
-        visibility != nullptr
-            ? visibility->order_of(stored[i], static_cast<std::uint32_t>(i))
-            : static_cast<std::uint32_t>(i);
     root.members.resize(query_.num_streams(), nullptr);
     root.members[stored[i]->stream] = stored[i];
     frontier.push_back(std::move(root));
@@ -422,17 +412,6 @@ std::uint64_t EddyRouter::route_batch(const Tuple* const* stored,
         stats_.record(target, ap,
                       static_cast<double>(batch_stats_[j].matches),
                       static_cast<double>(batch_stats_[j].tuples_compared));
-        if (visibility != nullptr) {
-          // Wall-mode sequence horizon: drop matches that are batch
-          // members the partial's root must not see yet (they arrived
-          // later in this batch). Uncharged — the comparisons themselves
-          // were already performed and charged by the probe above.
-          std::size_t kept = 0;
-          for (const Tuple* m : matches) {
-            if (visibility->visible_to(m, p.vis_order)) matches[kept++] = m;
-          }
-          matches.resize(kept);
-        }
         if (!selection.empty()) {
           std::size_t kept = 0;
           for (const Tuple* m : matches) {
@@ -444,7 +423,6 @@ std::uint64_t EddyRouter::route_batch(const Tuple* const* stored,
           BatchPartial next;
           next.done = p.done | (std::uint32_t{1} << target);
           next.root = p.root;
-          next.vis_order = p.vis_order;
           next.members = p.members;
           next.members[target] = m;
           next_level.push_back(std::move(next));

@@ -18,7 +18,6 @@
 
 #include "common/cost_meter.hpp"
 #include "common/small_vector.hpp"
-#include "common/tuple_batch.hpp"
 #include "engine/query.hpp"
 #include "engine/routing_policy.hpp"
 #include "engine/stem.hpp"
@@ -51,7 +50,8 @@ struct JoinResult {
 
 class EddyRouter {
  public:
-  /// route_batch: no batch member carries the active trace span.
+  /// route_batch: no batch member carries the active trace span. The run
+  /// loop and the routing sinks use this same sentinel.
   static constexpr std::size_t kNoSpanRoot = static_cast<std::size_t>(-1);
 
   /// `stems[s]` must be the STeM of stream s. Optional `sink` collects
@@ -93,20 +93,13 @@ class EddyRouter {
   /// `span_root`, when not kNoSpanRoot, names the batch index whose
   /// partials belong to the telemetry's active trace span: partitions
   /// touching that arrival emit "hop" span events (and "truncate" if its
-  /// valve trips).
-  /// `visibility` (wall-mode cross-run batching) lifts the same-stream
-  /// requirement: when set, the whole mixed-stream batch may be inserted
-  /// up front and routed as one call — probe matches that are batch
-  /// members with index >= the partial's root are skipped, reproducing the
-  /// window state each root would have seen under sequential execution.
-  /// The skipped comparisons were still performed (and charged), so wall
-  /// mode trades extra modelled probe work for large partitions; join
-  /// results are identical. Null keeps the same-stream contract.
+  /// valve trips). A one-arrival batch is handed to route(), the
+  /// depth-first reference, which picks the active span up directly — so
+  /// the run loop at batch size 1 is the tuple-at-a-time schedule.
   std::uint64_t route_batch(const Tuple* const* stored,
                             const std::uint32_t* done, std::size_t n,
                             std::vector<JoinResult>* sink = nullptr,
-                            std::size_t span_root = kNoSpanRoot,
-                            const BatchVisibility* visibility = nullptr);
+                            std::size_t span_root = kNoSpanRoot);
 
   RoutingStatistics& statistics() { return stats_; }
   const RoutingStatistics& statistics() const { return stats_; }

@@ -21,37 +21,21 @@ class SingleQuerySink final : public RoutingSink {
                   const ExecutorOptions& options)
       : query_(query), eddy_(eddy), options_(options) {}
 
-  bool admit(const Tuple& arrival, CostMeter& meter,
-             std::vector<std::uint64_t>* detached_accepts) override {
-    (void)detached_accepts;  // one query: admission IS the accept set
+  bool admit(const Tuple& arrival, CostMeter& meter) override {
     return query_.selection(arrival.stream).matches(arrival, &meter);
-  }
-
-  std::uint64_t route_one(const Tuple* stored, bool measured) override {
-    const bool want_rows = options_.collect_rows && measured &&
-                           rows_.size() < options_.max_collected_rows;
-    if (want_rows || options_.on_result) {
-      std::vector<JoinResult> sink;
-      const std::uint64_t produced = eddy_.route(stored, &sink);
-      deliver(sink, want_rows);
-      return produced;
-    }
-    return eddy_.route(stored);
   }
 
   std::uint64_t route_batch(const Tuple* const* stored,
                             const std::uint32_t* done, std::size_t first,
                             std::size_t n, std::size_t span_root,
-                            const BatchVisibility* visibility) override {
+                            bool measured) override {
     (void)first;  // one query: every admitted slot routes through eddy_
-    const bool want_rows =
-        options_.collect_rows && rows_.size() < options_.max_collected_rows;
+    const bool want_rows = options_.collect_rows && measured &&
+                           rows_.size() < options_.max_collected_rows;
     const bool want_sink = want_rows || options_.on_result != nullptr;
     batch_sink_.clear();
     const std::uint64_t produced = eddy_.route_batch(
-        stored, done, n, want_sink ? &batch_sink_ : nullptr,
-        span_root == kNoSpanRoot ? EddyRouter::kNoSpanRoot : span_root,
-        visibility);
+        stored, done, n, want_sink ? &batch_sink_ : nullptr, span_root);
     deliver(batch_sink_, want_rows);
     return produced;
   }

@@ -63,36 +63,15 @@ struct ExecutorOptions {
   /// executor drains up to this many ready arrivals into a TupleBatch,
   /// expires every window once, then batch-inserts and batch-routes each
   /// consecutive same-stream run. 1 (the default) is the tuple-at-a-time
-  /// path, preserved bit-for-bit. Larger batches keep the modelled cost
-  /// identical (every shared computation is still charged once per tuple
-  /// it serves) but amortise real dispatch work; the only semantic drift
-  /// is expiry timing — windows are expired at batch start, so a tuple
-  /// whose deadline falls inside a batch's virtual-time span survives a
-  /// few probes longer (see docs/architecture.md, "Batched execution").
+  /// schedule: every arrival is expired, inserted and routed depth-first
+  /// on its own. Before the warm-up boundary every batch size drains one
+  /// arrival at a time. Larger batches keep the modelled cost identical
+  /// (every shared computation is still charged once per tuple it serves)
+  /// but amortise real dispatch work; the only semantic drift is expiry
+  /// timing — windows are expired at batch start, so a tuple whose
+  /// deadline falls inside a batch's virtual-time span survives a few
+  /// probes longer (see docs/architecture.md, "Batched execution").
   std::size_t batch_size = 1;
-  /// Execution mode (`--engine`): kVirtual is the paper's cost-metered
-  /// pipeline; kWall reorganises the post-warm-up hot path for real
-  /// hardware throughput (cross-run batching, prefetching probe kernel,
-  /// drain/route overlap) while the virtual clock keeps governing arrival
-  /// eligibility, window expiry and run length. See docs/architecture.md,
-  /// "Wall-clock engine mode".
-  EngineMode engine = EngineMode::kVirtual;
-  /// Wall mode: overlap next-batch drain (backlog pop + WHERE selection)
-  /// with current-batch routing on a dedicated worker thread. Disabled
-  /// automatically when trace sampling is on (spans are emitted inline on
-  /// the drain path) and on single-core hosts, where a second runnable
-  /// thread only adds context switches and cache pollution to the one
-  /// core the driver needs.
-  bool wall_overlap = true;
-  /// Create the overlap worker even on a single-core host. For tests that
-  /// must exercise the concurrent drain/route handoff (TSan race hunting,
-  /// toggle differentials) regardless of where they run.
-  bool wall_overlap_force = false;
-  /// Wall mode: software prefetch in the index kernel — bucket-directory
-  /// slots ahead of the grouped probe / batched insert / batched expiry
-  /// walks, and matching tuples ahead of the compare loop (sets
-  /// StemOptions::probe_prefetch on every state).
-  bool wall_probe_prefetch = true;
 };
 
 class Executor {
@@ -117,8 +96,7 @@ class Executor {
   ExecutorOptions options_;
   /// The shared run-loop state (clock/meter/memory/pools/instruments).
   /// Constructed before stems_ — its construction finalises options_
-  /// (fan-out pool, wall prefetch) and its pools must outlive every stem
-  /// probe path.
+  /// (fan-out pool) and its pool must outlive every stem probe path.
   PipelineRuntime rt_;
   std::vector<std::unique_ptr<StemOperator>> stems_;
   std::unique_ptr<EddyRouter> eddy_;

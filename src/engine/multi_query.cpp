@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,12 +17,11 @@ namespace {
 // selection in query order (each one charged — every query logically
 // inspects every arrival on its streams) and records the accept set as a
 // per-slot bitmask; an arrival enters the shared state if any query
-// accepts it. Routing walks the queries in order: the tuple path routes
-// the last-admitted arrival through each accepting query's eddy, and the
-// batch paths carve each query's accepted sub-array out of the admitted
-// slots and route it as one call. Before a query routes, its index is
-// installed as the active attribution target on every shared STeM so probe
-// statistics land in that query's assessor cells.
+// accepts it. Routing walks the queries in order: each query's accepted
+// sub-array is carved out of the run's admitted slots and routed as one
+// call (a one-arrival run routes depth-first). Before a query routes, its
+// index is installed as the active attribution target on every shared
+// STeM so probe statistics land in that query's assessor cells.
 class MultiQuerySink final : public RoutingSink {
  public:
   MultiQuerySink(const std::vector<QuerySpec>& queries,
@@ -34,8 +34,7 @@ class MultiQuerySink final : public RoutingSink {
 
   bool wants_per_query() const override { return true; }
 
-  bool admit(const Tuple& arrival, CostMeter& meter,
-             std::vector<std::uint64_t>* detached_accepts) override {
+  bool admit(const Tuple& arrival, CostMeter& meter) override {
     std::uint64_t mask = 0;
     for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
       if (queries_[qi].selection(arrival.stream).matches(arrival, &meter)) {
@@ -43,55 +42,21 @@ class MultiQuerySink final : public RoutingSink {
       }
     }
     if (mask == 0) return false;
-    if (detached_accepts != nullptr) {
-      // Wall overlap worker: const query state only; the accept set is
-      // adopted with its batch.
-      detached_accepts->push_back(mask);
-    } else {
-      accepts_.push_back(mask);
-      last_accepts_ = mask;
-    }
+    accepts_.push_back(mask);
     return true;
   }
 
   void begin_batch() override { accepts_.clear(); }
 
-  void adopt_accepts(std::vector<std::uint64_t>& accepts) override {
-    accepts_.swap(accepts);
-  }
-
-  std::uint64_t route_one(const Tuple* stored, bool measured) override {
-    std::uint64_t total = 0;
-    for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
-      if ((last_accepts_ >> qi & 1) == 0) continue;
-      set_active_query(qi);
-      const bool want_rows = options_.collect_rows && measured &&
-                             rows_.size() < options_.max_collected_rows;
-      std::uint64_t produced;
-      if (want_rows || options_.on_result) {
-        result_sink_.clear();
-        produced = eddies_[qi]->route(stored, &result_sink_);
-        deliver(qi, want_rows);
-      } else {
-        produced = eddies_[qi]->route(stored);
-      }
-      total += produced;
-      per_query_[qi] += produced;
-    }
-    return total;
-  }
-
   std::uint64_t route_batch(const Tuple* const* stored,
                             const std::uint32_t* done, std::size_t first,
                             std::size_t n, std::size_t span_root,
-                            const BatchVisibility* visibility) override {
+                            bool measured) override {
     std::uint64_t total = 0;
     for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
-      // Carve query qi's sub-array out of the admitted slots. With a wall
-      // horizon attached, each sub-array root keeps its true full-batch
-      // order (BatchVisibility::order_of via the eddy), so visibility
-      // filtering is unaffected by the carving; matches held for other
-      // queries only are rejected by qi's selection re-verification.
+      // Carve query qi's sub-array out of the admitted slots; matches held
+      // for other queries only are rejected by qi's selection
+      // re-verification.
       sub_stored_.clear();
       sub_done_.clear();
       std::size_t sub_root = EddyRouter::kNoSpanRoot;
@@ -103,13 +68,13 @@ class MultiQuerySink final : public RoutingSink {
       }
       if (sub_stored_.empty()) continue;
       set_active_query(qi);
-      const bool want_rows =
-          options_.collect_rows && rows_.size() < options_.max_collected_rows;
+      const bool want_rows = options_.collect_rows && measured &&
+                             rows_.size() < options_.max_collected_rows;
       const bool want_sink = want_rows || options_.on_result != nullptr;
       result_sink_.clear();
       const std::uint64_t produced = eddies_[qi]->route_batch(
           sub_stored_.data(), sub_done_.data(), sub_stored_.size(),
-          want_sink ? &result_sink_ : nullptr, sub_root, visibility);
+          want_sink ? &result_sink_ : nullptr, sub_root);
       if (want_sink) deliver(qi, want_rows);
       total += produced;
       per_query_[qi] += produced;
@@ -147,7 +112,6 @@ class MultiQuerySink final : public RoutingSink {
   /// Accept bitmask per admitted slot of the live batch (bit qi = query qi
   /// accepted); parallel to the core's TupleBatch.
   std::vector<std::uint64_t> accepts_;
-  std::uint64_t last_accepts_ = 0;  ///< tuple path: the one admitted arrival
   std::vector<std::uint64_t> per_query_;  ///< cumulative outputs by query
   // Reusable per-call arenas (capacity persists across batches).
   std::vector<const Tuple*> sub_stored_;
@@ -156,22 +120,40 @@ class MultiQuerySink final : public RoutingSink {
   std::vector<SmallVector<Value, kInlineAttrs>> rows_;
 };
 
+// The executor's preconditions, checked before any member that depends on
+// them (accept masks, the shared layouts) is built.
+std::vector<QuerySpec> checked(std::vector<QuerySpec> queries) {
+  if (queries.empty()) {
+    throw std::invalid_argument("MultiQueryExecutor: no queries");
+  }
+  if (queries.size() > 64) {
+    // Accept sets are 64-bit masks: query 64 would shift past the word.
+    throw std::invalid_argument("MultiQueryExecutor: " +
+                                std::to_string(queries.size()) +
+                                " queries (at most 64)");
+  }
+  for (const QuerySpec& q : queries) {
+    if (q.num_streams() != queries[0].num_streams()) {
+      throw std::invalid_argument(
+          "MultiQueryExecutor: queries span different stream counts");
+    }
+    if (q.window() != queries[0].window()) {
+      throw std::invalid_argument(
+          "MultiQueryExecutor: queries have different windows");
+    }
+  }
+  return queries;
+}
+
 }  // namespace
 
 MultiQueryExecutor::MultiQueryExecutor(std::vector<QuerySpec> queries,
                                        ExecutorOptions options)
-    : queries_(std::move(queries)),
+    : queries_(checked(std::move(queries))),
       options_(std::move(options)),
       rt_(options_) {
-  assert(!queries_.empty());
-  assert(queries_.size() <= 64 && "accept sets are 64-bit masks");
   const std::size_t k = queries_[0].num_streams();
   const TimeMicros window = queries_[0].window();
-  for (const QuerySpec& q : queries_) {
-    assert(q.num_streams() == k);
-    assert(q.window() == window);
-    (void)q;
-  }
 
   // Union JAS per stream (sorted tuple-attribute ids for determinism).
   shared_layouts_.resize(k);

@@ -10,17 +10,18 @@
 // routing sink admits arrivals against every query's WHERE selection,
 // records per-arrival accept sets, and routes each query's sub-array
 // through that query's eddy. Multi-query runs therefore inherit the full
-// single-query feature matrix — sharded states, the batched pipeline, the
-// wall-clock engine, telemetry (per-query labeled metrics, trace spans,
-// profiler phases, per-query sample deltas) and the guardrailed tuner.
+// single-query feature matrix — sharded states, the batched pipeline,
+// telemetry (per-query labeled metrics, trace spans, profiler phases,
+// per-query sample deltas) and the guardrailed tuner.
 // Each query gets its own assessor set on the shared STeM
 // (StemOptions::queries); tuning epochs merge the per-query snapshots so
 // ONE shared tuner scores candidate ICs against the union workload, with
 // per-query request shares attached to every decision.
 //
-// Constraints (asserted): all queries span the same stream universe and
-// share the window length (the paper's default-window-length template),
-// and at most 64 queries share an executor (accept sets are bitmasks).
+// Constraints (checked, std::invalid_argument): all queries span the same
+// stream universe and share the window length (the paper's
+// default-window-length template), and at most 64 queries share an
+// executor (accept sets are bitmasks).
 #pragma once
 
 #include <memory>
@@ -41,7 +42,9 @@ struct MultiRunResult {
 class MultiQueryExecutor {
  public:
   /// `queries` must all reference the same streams (ids and schemas) and
-  /// window. The ExecutorOptions are applied to the shared states.
+  /// window. The ExecutorOptions are applied to the shared states. Throws
+  /// std::invalid_argument for no queries, more than 64, or mismatched
+  /// stream counts or windows.
   MultiQueryExecutor(std::vector<QuerySpec> queries, ExecutorOptions options);
 
   // Eddies hold references into queries_: not copyable or movable.
@@ -70,8 +73,7 @@ class MultiQueryExecutor {
   ExecutorOptions options_;
   /// The shared run-loop state (clock/meter/memory/pools/instruments).
   /// Constructed before stems_ — its construction finalises options_
-  /// (fan-out pool, wall prefetch) and its pools must outlive every stem
-  /// probe path.
+  /// (fan-out pool) and its pool must outlive every stem probe path.
   PipelineRuntime rt_;
   std::vector<StateLayout> shared_layouts_;  ///< union JAS per stream
   std::vector<std::unique_ptr<StemOperator>> stems_;

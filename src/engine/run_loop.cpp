@@ -1,12 +1,11 @@
 #include "engine/run_loop.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <deque>
 #include <optional>
-#include <thread>
 
+#include "common/tuple_batch.hpp"
 #include "engine/executor.hpp"
 #include "engine/stem.hpp"
 #include "engine/tuple_source.hpp"
@@ -22,19 +21,6 @@ PipelineRuntime::PipelineRuntime(ExecutorOptions& options)
   if (options.stem.shards > 1) {
     pool = std::make_unique<ThreadPool>(options.fanout_threads);
     options.stem.pool = pool.get();
-  }
-  if (options.engine == EngineMode::kWall) {
-    if (options.wall_probe_prefetch) options.stem.probe_prefetch = true;
-    // Trace spans are emitted inline on the drain path, so sampling keeps
-    // the drain on the driver thread (overlap off). A single-core host
-    // gets no overlap either: the worker would just timeshare the driver's
-    // core, paying context switches for zero concurrency.
-    const bool cores_for_overlap =
-        options.wall_overlap_force || std::thread::hardware_concurrency() > 1;
-    if (options.wall_overlap && options.trace_sample == 0 &&
-        cores_for_overlap) {
-      overlap_pool = std::make_unique<ThreadPool>(1);
-    }
   }
   if (options.telemetry != nullptr) {
     auto& reg = options.telemetry->metrics();
@@ -122,37 +108,18 @@ RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
   auto no_extra = [](telemetry::JsonWriter&) {};
 
   std::deque<Tuple> pending;
-  TupleBatch batch;                   // batched-drain arenas; capacity
+  TupleBatch batch;                   // drain arenas; capacity
   std::vector<const Tuple*> stored_run;  // persists across batches
   // A sampled arrival awaiting its batch's routing: its span was begun (and
   // the "arrival" stage emitted) at drain time, then suspended. Every
-  // sampled arrival of a batch is tracked — the batched and tuple-at-a-time
-  // paths trace the same Nth drained arrivals.
+  // sampled arrival of a batch is tracked, so every batch size traces the
+  // same Nth drained arrivals.
   struct PendingSpan {
     std::size_t index = 0;  ///< arrival's index within the batch
     std::uint64_t id = 0;
     std::chrono::steady_clock::time_point start{};
   };
   std::vector<PendingSpan> batch_spans;
-  // Wall-mode arenas: batch-order stored pointers and the sequence horizon
-  // handed to route_batch, plus the overlap double buffer the worker
-  // thread drains into while the driver routes. The worker only ever runs
-  // between its submit and the wait_idle at the end of the same iteration;
-  // the driver does not touch `pending` or `prefetched` in that window, so
-  // ownership alternates with pool-mutex synchronisation in between.
-  std::vector<const Tuple*> wall_stored;
-  BatchVisibility wall_visibility;
-  struct PrefetchedBatch {
-    TupleBatch batch;
-    CostMeter meter;  ///< detached — counts the worker's WHERE comparisons
-    /// Per-admitted-slot accept sets the sink recorded off-thread,
-    /// adopted via RoutingSink::adopt_accepts when the batch is.
-    std::vector<std::uint64_t> accepts;
-    std::uint64_t filtered = 0;
-    double drain_wall_us = 0.0;
-  };
-  PrefetchedBatch prefetched;
-  bool have_prefetched = false;
   std::optional<Tuple> lookahead = source.next();
   bool warmup_done = (options.warmup == 0);
   std::uint64_t outputs_total = 0;
@@ -268,49 +235,7 @@ RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
     take_sample(warmup_end);  // measurement-start baseline (t = 0)
   };
 
-  // Drain up to `want` backlog arrivals into `batch`: sink admission (WHERE
-  // selection) is applied (filtered arrivals are counted and, if sampled,
-  // traced), and every sampled surviving arrival records a PendingSpan so
-  // its span can resume when the batch routes. Shared by the batched
-  // virtual path and the wall path.
-  auto drain_batch = [&](std::size_t want) {
-    for (std::size_t i = 0; i < want; ++i) {
-      const Tuple arrival = pending.front();
-      pending.pop_front();
-      const bool sampled =
-          trace_sample != 0 && (++drained_arrivals % trace_sample) == 0;
-      if (!sink.admit(arrival, rt.meter, nullptr)) {
-        ++result.arrivals_filtered;
-        if (sampled) {
-          const std::uint64_t id = tel->begin_span();
-          emit_span_stage(id, arrival.stream, "arrival",
-                          [&](telemetry::JsonWriter& w) {
-                            w.field("backlog", static_cast<std::uint64_t>(
-                                                   pending.size()));
-                          });
-          emit_span_stage(id, arrival.stream, "filtered", no_extra);
-          tel->end_span();
-        }
-        continue;
-      }
-      if (sampled) {
-        PendingSpan ps;
-        ps.index = batch.size();
-        ps.id = tel->begin_span();
-        ps.start = std::chrono::steady_clock::now();
-        emit_span_stage(ps.id, arrival.stream, "arrival",
-                        [&](telemetry::JsonWriter& w) {
-                          w.field("backlog",
-                                  static_cast<std::uint64_t>(pending.size()));
-                        });
-        tel->end_span();  // suspended until the owning batch routes
-        batch_spans.push_back(ps);
-      }
-      batch.push(arrival);
-    }
-    rt.sync_queue_memory(pending.size());
-  };
-
+  const std::size_t batch_size = std::max<std::size_t>(options.batch_size, 1);
   while (rt.clock.now() < measure_end) {
     {
       telemetry::ScopedPhase drain_scope(rt.profiler, telemetry::Phase::kDrain);
@@ -323,7 +248,7 @@ RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
       check_backpressure();
       if (rt.memory.exhausted()) break;
 
-      if (pending.empty() && !have_prefetched) {
+      if (pending.empty()) {
         if (!lookahead.has_value()) break;  // source exhausted, system idle
         if (lookahead->ts >= measure_end) {
           rt.clock.advance_to(measure_end);
@@ -334,320 +259,127 @@ RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
       }
     }
 
-    // Wall-clock engine (post-warm-up only, so the warm-up boundary below
-    // stays on the tuple-at-a-time path): adopt the worker-drained batch or
-    // drain inline, insert the whole mixed-stream batch up front, route it
-    // as ONE partition under the per-root sequence horizon, and overlap the
-    // next drain with the routing.
-    if (options.engine == EngineMode::kWall && warmup_done) {
-      const std::size_t batch_cap =
-          std::max<std::size_t>(options.batch_size, 1);
-      batch.clear();
-      batch_spans.clear();
-      sink.begin_batch();
-      if (have_prefetched) {
-        // Adopt: merge the worker's WHERE-selection charges (counted on a
-        // detached meter), filtered total and accept sets, and attribute
-        // its drain wall time as off-thread overlap.
-        std::swap(batch, prefetched.batch);
-        have_prefetched = false;
-        sink.adopt_accepts(prefetched.accepts);
-        if (prefetched.meter.compares() > 0) {
-          rt.meter.charge_compare(prefetched.meter.compares());
-        }
-        result.arrivals_filtered += prefetched.filtered;
-        if (rt.profiler != nullptr && prefetched.drain_wall_us > 0.0) {
-          rt.profiler->record_offthread(telemetry::Phase::kDrain,
-                                        prefetched.drain_wall_us);
-        }
-        rt.sync_queue_memory(pending.size());
-      } else {
-        telemetry::ScopedPhase drain_scope(rt.profiler,
-                                           telemetry::Phase::kDrain);
-        drain_batch(std::min(batch_cap, pending.size()));
-      }
-      if (batch.empty()) continue;  // whole drain was filtered out
-
-      {
-        telemetry::ScopedPhase expiry_scope(rt.profiler,
-                                            telemetry::Phase::kExpiry);
-        for (auto& stem : stems) stem->expire(rt.clock.now());
-      }
-
-      // Insert the whole batch, run by run (per-stream arrival order is
-      // preserved — each STeM holds one stream, and runs appear in batch
-      // order), collecting batch-order stored pointers for the horizon.
-      wall_stored.resize(batch.size());
-      {
-        telemetry::ScopedPhase insert_scope(rt.profiler,
-                                            telemetry::Phase::kInsert);
-        for (std::size_t a = 0; a < batch.size();) {
-          const std::size_t b = batch.run_end(a);
-          stored_run.clear();
-          stems[batch.tuples[a].stream]->insert_batch(
-              batch.tuples.data() + a, b - a, stored_run);
-          std::copy(stored_run.begin(), stored_run.end(),
-                    wall_stored.begin() + static_cast<std::ptrdiff_t>(a));
-          a = b;
-        }
-      }
-      wall_visibility.assign(wall_stored.data(), batch.size());
-
-      const bool batch_has_span = !batch_spans.empty();
-      if (batch_has_span) {
-        tel->resume_span(batch_spans.front().id);
-        for (const PendingSpan& ps : batch_spans) {
-          emit_span_stage(ps.id, batch.tuples[ps.index].stream, "insert",
-                          [&](telemetry::JsonWriter& w) {
-                            w.field("batch", static_cast<std::uint64_t>(
-                                                 batch.size()));
-                          });
-        }
-      }
-
-      // Kick the overlap worker: it pops and WHERE-filters the NEXT batch
-      // from the backlog while the driver routes this one. The backlog
-      // only ever holds due arrivals, so the worker needs no clock view;
-      // its admission work goes to the detached local meter and accepts
-      // buffer (the sink's admit must be thread-safe in that form). The
-      // driver does not touch `pending` or `prefetched` again until the
-      // wait_idle below.
-      bool worker_outstanding = false;
-      if (rt.overlap_pool != nullptr && !pending.empty()) {
-        prefetched.batch.clear();
-        prefetched.accepts.clear();
-        prefetched.filtered = 0;
-        prefetched.meter.reset_counts();
-        prefetched.drain_wall_us = 0.0;
-        const std::size_t want = std::min(batch_cap, pending.size());
-        rt.overlap_pool->submit([&sink, &pending, &prefetched, want] {
-          const auto t0 = std::chrono::steady_clock::now();
-          for (std::size_t i = 0; i < want; ++i) {
-            const Tuple arrival = pending.front();
-            pending.pop_front();
-            if (!sink.admit(arrival, prefetched.meter, &prefetched.accepts)) {
-              ++prefetched.filtered;
-              continue;
-            }
-            prefetched.batch.push(arrival);
-          }
-          prefetched.drain_wall_us =
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-        });
-        worker_outstanding = true;
-      }
-
-      std::uint64_t produced = 0;
-      {
-        telemetry::ScopedPhase route_scope(rt.profiler,
-                                           telemetry::Phase::kRoute);
-        produced = sink.route_batch(
-            wall_stored.data(), batch.done.data(), 0, batch.size(),
-            batch_has_span ? batch_spans.front().index
-                           : RoutingSink::kNoSpanRoot,
-            &wall_visibility);
-      }
-      outputs_total += produced;
-      if (batch_has_span) {
-        for (const PendingSpan& ps : batch_spans) {
-          const auto latency_ns =
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - ps.start)
-                  .count();
-          emit_span_stage(ps.id, batch.tuples[ps.index].stream, "done",
-                          [&](telemetry::JsonWriter& w) {
-                            w.field("latency_ns",
-                                    static_cast<std::uint64_t>(latency_ns));
-                            w.field("run_results", produced);
-                            w.field("batched", true);
-                          });
-          rt.span_latency_hist->observe(static_cast<double>(latency_ns) /
-                                        1000.0);
-        }
-        tel->end_span();
-      }
-      arrivals_measured += batch.size();
-
-      if (worker_outstanding) {
-        telemetry::ScopedPhase wait_scope(rt.profiler,
-                                          telemetry::Phase::kOverlapWait);
-        rt.overlap_pool->wait_idle();
-        have_prefetched = true;
-      }
-
-      if (rt.memory.exhausted()) break;
-      while (rt.clock.now() >= next_sample && next_sample <= measure_end) {
-        take_sample(next_sample);
-        next_sample += options.sample_every;
-      }
-      continue;
-    }
-
-    // Batched drain (post-warm-up only, so the warm-up boundary below is
-    // always hit on the tuple-at-a-time path): pull up to batch_size ready
-    // arrivals, expire every window once, then batch-insert and
-    // batch-route each consecutive same-stream run.
-    if (options.batch_size > 1 && warmup_done) {
-      batch.clear();
-      batch_spans.clear();
-      sink.begin_batch();
-      {
-        telemetry::ScopedPhase drain_scope(rt.profiler,
-                                           telemetry::Phase::kDrain);
-        drain_batch(std::min(options.batch_size, pending.size()));
-      }
-      if (batch.empty()) continue;  // whole drain was filtered out
-
-      {
-        telemetry::ScopedPhase expiry_scope(rt.profiler,
-                                            telemetry::Phase::kExpiry);
-        for (auto& stem : stems) stem->expire(rt.clock.now());
-      }
-      {
-        telemetry::ScopedPhase route_scope(rt.profiler,
-                                           telemetry::Phase::kRoute);
-        // Spans are listed in batch-index order; walk them run by run.
-        std::size_t span_cursor = 0;
-        for (std::size_t a = 0; a < batch.size();) {
-          const std::size_t b = batch.run_end(a);
-          const StreamId s = batch.tuples[a].stream;
-          stored_run.clear();
-          const std::size_t span_lo = span_cursor;
-          while (span_cursor < batch_spans.size() &&
-                 batch_spans[span_cursor].index < b) {
-            ++span_cursor;
-          }
-          const bool run_has_span = span_lo < span_cursor;
-          // The eddy attaches hop events to one active span per call; the
-          // run's first sampled arrival carries it. Every sampled arrival
-          // still gets its own insert/done stages and latency observation.
-          if (run_has_span) tel->resume_span(batch_spans[span_lo].id);
-          {
-            telemetry::ScopedPhase insert_scope(rt.profiler,
-                                                telemetry::Phase::kInsert);
-            stems[s]->insert_batch(batch.tuples.data() + a, b - a,
-                                   stored_run);
-          }
-          for (std::size_t k = span_lo; k < span_cursor; ++k) {
-            emit_span_stage(batch_spans[k].id, s, "insert",
-                            [&](telemetry::JsonWriter& w) {
-                              w.field("batch",
-                                      static_cast<std::uint64_t>(b - a));
-                            });
-          }
-          const std::uint64_t produced = sink.route_batch(
-              stored_run.data(), batch.done.data() + a, a, b - a,
-              run_has_span ? batch_spans[span_lo].index - a
-                           : RoutingSink::kNoSpanRoot,
-              nullptr);
-          outputs_total += produced;
-          for (std::size_t k = span_lo; k < span_cursor; ++k) {
-            const auto latency =
-                std::chrono::steady_clock::now() - batch_spans[k].start;
-            const auto latency_ns =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(latency)
-                    .count();
-            emit_span_stage(batch_spans[k].id, s, "done",
-                            [&](telemetry::JsonWriter& w) {
-                              w.field("latency_ns", static_cast<std::uint64_t>(
-                                                        latency_ns));
-                              w.field("run_results", produced);
-                              w.field("batched", true);
-                            });
-            rt.span_latency_hist->observe(static_cast<double>(latency_ns) /
-                                          1000.0);
-          }
-          if (run_has_span) tel->end_span();
-          a = b;
-        }
-      }
-      arrivals_measured += batch.size();
-
-      if (rt.memory.exhausted()) break;
-      while (rt.clock.now() >= next_sample && next_sample <= measure_end) {
-        take_sample(next_sample);
-        next_sample += options.sample_every;
-      }
-      continue;
-    }
-
-    const Tuple arrival = pending.front();
-    pending.pop_front();
-    rt.sync_queue_memory(pending.size());
-
-    // Warm-up boundary: apply trained configurations exactly once.
-    if (!warmup_done && rt.clock.now() >= warmup_end) finish_warmup();
-
-    const bool sampled =
-        trace_sample != 0 && (++drained_arrivals % trace_sample) == 0;
-    std::chrono::steady_clock::time_point span_start{};
-    std::uint64_t span_id = 0;
-    if (sampled) {
-      span_start = std::chrono::steady_clock::now();
-      span_id = tel->begin_span();
-      emit_span_stage(span_id, arrival.stream, "arrival",
-                      [&](telemetry::JsonWriter& w) {
-                        w.field("backlog",
-                                static_cast<std::uint64_t>(pending.size()));
-                      });
-    }
-
-    // WHERE-clause selection (the sink's admission): filtered tuples are
-    // neither stored nor routed (the paper's S of SPJ happens before the
-    // join network).
+    // Pull up to batch_size ready arrivals (one before the warm-up
+    // boundary), expire every window once, then batch-insert and
+    // batch-route each consecutive same-stream run. Batch size 1 is the
+    // tuple-at-a-time schedule: the eddy routes a one-arrival run
+    // depth-first.
+    //
+    // A sampled arrival's span opens ("arrival") before sink admission
+    // (WHERE selection); filtered arrivals are counted and close their
+    // span, and every sampled surviving arrival records a PendingSpan so
+    // its span can resume when its run routes. Before the warm-up boundary
+    // the boundary is checked after the pop, with the queue memory already
+    // synced, so the t = 0 sample sees the backlog without the boundary
+    // arrival.
+    batch.clear();
+    batch_spans.clear();
     sink.begin_batch();
-    if (!sink.admit(arrival, rt.meter, nullptr)) {
-      if (warmup_done) ++result.arrivals_filtered;
-      if (sampled) {
-        emit_span_stage(span_id, arrival.stream, "filtered", no_extra);
-        tel->end_span();
+    {
+      telemetry::ScopedPhase drain_scope(rt.profiler, telemetry::Phase::kDrain);
+      const std::size_t want =
+          warmup_done ? std::min(batch_size, pending.size()) : 1;
+      for (std::size_t i = 0; i < want; ++i) {
+        const Tuple arrival = pending.front();
+        pending.pop_front();
+        if (!warmup_done) {
+          rt.sync_queue_memory(pending.size());
+          // Warm-up boundary: apply trained configurations exactly once.
+          if (rt.clock.now() >= warmup_end) finish_warmup();
+        }
+        const bool sampled =
+            trace_sample != 0 && (++drained_arrivals % trace_sample) == 0;
+        PendingSpan ps;
+        if (sampled) {
+          ps.index = batch.size();
+          ps.start = std::chrono::steady_clock::now();
+          ps.id = tel->begin_span();
+          emit_span_stage(ps.id, arrival.stream, "arrival",
+                          [&](telemetry::JsonWriter& w) {
+                            w.field("backlog",
+                                    static_cast<std::uint64_t>(pending.size()));
+                          });
+        }
+        if (!sink.admit(arrival, rt.meter)) {
+          if (warmup_done) ++result.arrivals_filtered;
+          if (sampled) {
+            emit_span_stage(ps.id, arrival.stream, "filtered", no_extra);
+            tel->end_span();
+          }
+          continue;
+        }
+        if (sampled) {
+          tel->end_span();  // suspended until the owning batch routes
+          batch_spans.push_back(ps);
+        }
+        batch.push(arrival);
       }
-      continue;
+      rt.sync_queue_memory(pending.size());
     }
+    if (batch.empty()) continue;  // whole drain was filtered out
 
-    // Expire all windows to the current time, store, then route.
     {
       telemetry::ScopedPhase expiry_scope(rt.profiler,
                                           telemetry::Phase::kExpiry);
       for (auto& stem : stems) stem->expire(rt.clock.now());
     }
-    const Tuple* stored;
     {
-      telemetry::ScopedPhase insert_scope(rt.profiler,
-                                          telemetry::Phase::kInsert);
-      stored = stems[arrival.stream]->insert(arrival);
+      telemetry::ScopedPhase route_scope(rt.profiler, telemetry::Phase::kRoute);
+      // Spans are listed in batch-index order; walk them run by run.
+      std::size_t span_cursor = 0;
+      for (std::size_t a = 0; a < batch.size();) {
+        const std::size_t b = batch.run_end(a);
+        const StreamId s = batch.tuples[a].stream;
+        stored_run.clear();
+        const std::size_t span_lo = span_cursor;
+        while (span_cursor < batch_spans.size() &&
+               batch_spans[span_cursor].index < b) {
+          ++span_cursor;
+        }
+        const bool run_has_span = span_lo < span_cursor;
+        // The eddy attaches hop events to one active span per call; the
+        // run's first sampled arrival carries it. Every sampled arrival
+        // still gets its own insert/done stages and latency observation.
+        if (run_has_span) tel->resume_span(batch_spans[span_lo].id);
+        {
+          telemetry::ScopedPhase insert_scope(rt.profiler,
+                                              telemetry::Phase::kInsert);
+          stems[s]->insert_batch(batch.tuples.data() + a, b - a, stored_run);
+        }
+        for (std::size_t k = span_lo; k < span_cursor; ++k) {
+          emit_span_stage(batch_spans[k].id, s, "insert",
+                          [&](telemetry::JsonWriter& w) {
+                            w.field("batch",
+                                    static_cast<std::uint64_t>(b - a));
+                          });
+        }
+        const std::uint64_t produced = sink.route_batch(
+            stored_run.data(), batch.done.data() + a, a, b - a,
+            run_has_span ? batch_spans[span_lo].index - a
+                         : EddyRouter::kNoSpanRoot,
+            warmup_done);
+        outputs_total += produced;
+        for (std::size_t k = span_lo; k < span_cursor; ++k) {
+          const auto latency_ns =
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - batch_spans[k].start)
+                  .count();
+          emit_span_stage(batch_spans[k].id, s, "done",
+                          [&](telemetry::JsonWriter& w) {
+                            w.field("latency_ns",
+                                    static_cast<std::uint64_t>(latency_ns));
+                            w.field("run_results", produced);
+                          });
+          rt.span_latency_hist->observe(static_cast<double>(latency_ns) /
+                                        1000.0);
+        }
+        if (run_has_span) tel->end_span();
+        a = b;
+      }
     }
-    if (sampled) {
-      emit_span_stage(span_id, arrival.stream, "insert", no_extra);
-    }
-    std::uint64_t produced = 0;
-    {
-      telemetry::ScopedPhase route_scope(rt.profiler,
-                                         telemetry::Phase::kRoute);
-      produced = sink.route_one(stored, warmup_done);
-    }
-    outputs_total += produced;
-    if (sampled) {
-      const auto latency_ns =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - span_start)
-              .count();
-      emit_span_stage(span_id, arrival.stream, "done",
-                      [&](telemetry::JsonWriter& w) {
-                        w.field("latency_ns",
-                                static_cast<std::uint64_t>(latency_ns));
-                        w.field("run_results", produced);
-                        w.field("batched", false);
-                      });
-      rt.span_latency_hist->observe(static_cast<double>(latency_ns) / 1000.0);
-      tel->end_span();
-    }
-    if (warmup_done) ++arrivals_measured;
+    if (warmup_done) arrivals_measured += batch.size();
 
     if (rt.memory.exhausted()) break;
-
     while (warmup_done && rt.clock.now() >= next_sample &&
            next_sample <= measure_end) {
       take_sample(next_sample);
@@ -669,12 +401,6 @@ RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
   result.outputs = outputs_total - outputs_offset;
   result.arrivals = arrivals_measured;
   result.arrivals_dropped = pending.size();
-  if (have_prefetched) {
-    // Wall overlap: the worker had already popped these arrivals off the
-    // backlog when the run ended; they were never routed (their selection
-    // charges were never merged either), so they count as dropped.
-    result.arrivals_dropped += prefetched.batch.size() + prefetched.filtered;
-  }
   result.peak_memory = rt.memory.peak();
   result.charged_us = rt.meter.charged_us();
   result.routing_decisions = rt.meter.routes();

@@ -1,15 +1,17 @@
 // The shared pipeline core: ONE drain → expiry → insert → route → sample
-// → memory-accounting loop serving every executor. The loop is
+// → memory-accounting loop serving every executor. Each iteration drains
+// up to `batch_size` ready arrivals and inserts/routes them run by run;
+// batch size 1 is the tuple-at-a-time schedule. The loop is
 // query-agnostic — everything query-specific (WHERE admission, eddy
 // routing, result collection) goes through a RoutingSink, so the
 // single-query Executor and the MultiQueryExecutor run bit-for-bit the
-// same engine: same warm-up boundary, same batched/wall paths, same
-// telemetry (spans, profiler phases, samples, backpressure, OOM), same
-// queue-memory accounting.
+// same engine: same warm-up boundary, same schedule, same telemetry
+// (spans, profiler phases, samples, backpressure, OOM), same queue-memory
+// accounting.
 //
 // PipelineRuntime bundles the engine-neutral run state both executors
 // used to duplicate (virtual clock, cost meter, memory tracker, fan-out
-// and overlap pools, resolved telemetry instruments).
+// pool, resolved telemetry instruments).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,6 @@
 #include "common/memory_tracker.hpp"
 #include "common/thread_pool.hpp"
 #include "common/tuple.hpp"
-#include "common/tuple_batch.hpp"
 #include "common/virtual_clock.hpp"
 #include "engine/metrics.hpp"
 #include "telemetry/telemetry.hpp"
@@ -30,23 +31,6 @@ namespace amri::engine {
 struct ExecutorOptions;
 class StemOperator;
 class TupleSource;
-
-/// How the executor moves arrivals through the pipeline.
-enum class EngineMode : std::uint8_t {
-  /// Cost-metered virtual-clock execution (the paper's reproduction):
-  /// strictly phased drain → expiry → insert → route, bit-for-bit
-  /// deterministic for a given batch size.
-  kVirtual = 0,
-  /// Wall-clock mode: same modelled costs and virtual clock, but the hot
-  /// path is organised for hardware speed — whole mixed-stream batches are
-  /// inserted up front and routed as one partition under a per-root
-  /// sequence horizon (BatchVisibility), the grouped probe kernel runs
-  /// with software prefetch, and next-batch drain overlaps current-batch
-  /// routing on a worker thread. Join results match virtual mode exactly;
-  /// modelled probe-work counters may exceed it (the horizon filters
-  /// matches after the comparisons were charged).
-  kWall,
-};
 
 /// Modelled bytes per queued (undrained) arrival: the tuple payload plus
 /// container overhead. The ONE place the queue-accounting constant lives —
@@ -63,9 +47,6 @@ inline constexpr std::size_t kQueueBytesPerTuple = sizeof(Tuple) + 16;
 /// sub-array through that query's eddy.
 class RoutingSink {
  public:
-  /// route_batch: no member of the routed span carries the active span.
-  static constexpr std::size_t kNoSpanRoot = static_cast<std::size_t>(-1);
-
   virtual ~RoutingSink() = default;
 
   /// True when samples should carry per-query output deltas
@@ -74,38 +55,23 @@ class RoutingSink {
 
   /// WHERE admission for `arrival`, charging selection comparisons to
   /// `meter`. Returns true when the arrival enters the pipeline (any query
-  /// accepts it). With `detached_accepts` null the sink records the accept
-  /// set in its live batch state (the slot is the current batch's size);
-  /// the wall overlap worker passes its own vector instead — the driver
-  /// adopts it later via adopt_accepts. Must be thread-safe in the
-  /// detached form (const query state only).
-  virtual bool admit(const Tuple& arrival, CostMeter& meter,
-                     std::vector<std::uint64_t>* detached_accepts) = 0;
+  /// accepts it); the sink records the accept set in its live batch state
+  /// (the slot is the current batch's size).
+  virtual bool admit(const Tuple& arrival, CostMeter& meter) = 0;
 
   /// A new admission batch starts: forget the previous batch's accepts.
-  /// Called before every drain (and before each tuple-at-a-time admit).
+  /// Called before every drain.
   virtual void begin_batch() {}
 
-  /// Adopt the accept sets a detached drain recorded (wall overlap).
-  virtual void adopt_accepts(std::vector<std::uint64_t>& accepts) {
-    (void)accepts;
-  }
-
-  /// Route one admitted, inserted arrival (tuple-at-a-time path).
-  /// `measured` is true after the warm-up boundary (row collection).
-  virtual std::uint64_t route_one(const Tuple* stored, bool measured) = 0;
-
-  /// Route the admitted batch slots [first, first + n): `stored[j]` /
-  /// `done[j]` describe slot first + j. With `visibility` null this is a
-  /// same-stream run (batched virtual mode); set, it is the whole
-  /// mixed-stream batch under the wall-mode sequence horizon. `span_root`,
-  /// when not kNoSpanRoot, is the index in [0, n) carrying the active
-  /// trace span. Returns complete results produced.
+  /// Route the admitted same-stream batch slots [first, first + n):
+  /// `stored[j]` / `done[j]` describe slot first + j. `span_root`, when
+  /// not EddyRouter::kNoSpanRoot, is the index in [0, n) carrying the
+  /// active trace span. `measured` is true after the warm-up boundary
+  /// (row collection). Returns complete results produced.
   virtual std::uint64_t route_batch(const Tuple* const* stored,
                                     const std::uint32_t* done,
                                     std::size_t first, std::size_t n,
-                                    std::size_t span_root,
-                                    const BatchVisibility* visibility) = 0;
+                                    std::size_t span_root, bool measured) = 0;
 
   /// Append cumulative per-query outputs (multi-query sinks; the run loop
   /// turns these into per-sample deltas).
@@ -120,10 +86,9 @@ class RoutingSink {
 };
 
 /// Engine-neutral run state shared by every executor: clock, meter,
-/// memory, pools, and the telemetry instruments the run loop records into.
-/// Construction applies the engine-mode implications to `options` (fan-out
-/// pool for sharded stems, wall prefetch/overlap) exactly as the
-/// single-query executor always has.
+/// memory, fan-out pool, and the telemetry instruments the run loop records
+/// into. Construction creates the fan-out pool for sharded stems and hands
+/// it to `options.stem`.
 class PipelineRuntime {
  public:
   explicit PipelineRuntime(ExecutorOptions& options);
@@ -137,11 +102,6 @@ class PipelineRuntime {
   /// Shared fan-out pool, created only when the stems are sharded.
   /// Declared before any stems so it outlives every probe path.
   std::unique_ptr<ThreadPool> pool;
-  /// Single-thread pool for wall-mode drain/route overlap (double
-  /// buffering, not fan-out — deliberately separate from `pool` so overlap
-  /// drains never queue behind sharded probe fan-outs). Null unless
-  /// engine == kWall and overlap is enabled.
-  std::unique_ptr<ThreadPool> overlap_pool;
   /// Observability handles, resolved once at construction (null detached).
   telemetry::Profiler* profiler = nullptr;
   telemetry::Histogram* span_latency_hist = nullptr;  ///< span.latency_us

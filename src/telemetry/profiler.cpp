@@ -16,10 +16,9 @@ double elapsed_us(std::chrono::steady_clock::time_point from,
 }
 
 constexpr std::array<Phase, kNumPhases> kAllPhases = {
-    Phase::kDrain,        Phase::kExpiry,     Phase::kInsert,
-    Phase::kRoute,        Phase::kProbe,      Phase::kSnapshotMerge,
-    Phase::kTunerEpoch,   Phase::kMigration,  Phase::kSample,
-    Phase::kOverlapWait,
+    Phase::kDrain,      Phase::kExpiry,    Phase::kInsert,
+    Phase::kRoute,      Phase::kProbe,     Phase::kSnapshotMerge,
+    Phase::kTunerEpoch, Phase::kMigration, Phase::kSample,
 };
 
 }  // namespace
@@ -35,7 +34,6 @@ const char* phase_name(Phase phase) {
     case Phase::kTunerEpoch: return "tuner_epoch";
     case Phase::kMigration: return "migration";
     case Phase::kSample: return "sample";
-    case Phase::kOverlapWait: return "overlap_wait";
   }
   return "unknown";
 }
@@ -48,17 +46,7 @@ Profiler::Profiler(MetricsRegistry& registry) {
     scope_us_[index(p)] = &registry.histogram(
         base + ".scope_us", Histogram::exponential_bounds(0.1, 2.0, 24));
     exclusive_gauge_[index(p)] = &registry.gauge(base + ".exclusive_us");
-    offthread_gauge_[index(p)] = &registry.gauge(base + ".offthread_us");
   }
-}
-
-void Profiler::record_offthread(Phase phase, double us) {
-  offthread_us_[index(phase)] += us;
-  offthread_gauge_[index(phase)]->set(offthread_us_[index(phase)]);
-}
-
-double Profiler::offthread_us(Phase phase) const {
-  return offthread_us_[index(phase)];
 }
 
 void Profiler::start(Phase phase) {
@@ -104,20 +92,17 @@ const Histogram& Profiler::scope_histogram(Phase phase) const {
 
 void print_phase_table(std::ostream& os, const Profiler& profiler,
                        double run_wall_us) {
-  TablePrinter table({"phase", "scopes", "excl_ms", "offth_ms", "%run",
+  TablePrinter table({"phase", "scopes", "excl_ms", "%run",
                       "p50_us", "p95_us", "p99_us", "max_us"});
   for (const Phase p : kAllPhases) {
     const Profiler::PhaseStats s = profiler.stats(p);
-    const double offthread_us = profiler.offthread_us(p);
-    if (s.entries == 0 && offthread_us == 0.0) continue;
+    if (s.entries == 0) continue;
     const Histogram& h = profiler.scope_histogram(p);
     const double share =
         run_wall_us > 0.0 ? s.exclusive_us / run_wall_us : 0.0;
     table.add_row({phase_name(p),
                    TablePrinter::fmt_int(static_cast<long long>(s.entries)),
                    TablePrinter::fmt(s.exclusive_us / 1000.0),
-                   offthread_us > 0.0 ? TablePrinter::fmt(offthread_us / 1000.0)
-                                      : "-",
                    TablePrinter::fmt_pct(share),
                    TablePrinter::fmt(h.percentile(0.50)),
                    TablePrinter::fmt(h.percentile(0.95)),

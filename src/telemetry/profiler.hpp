@@ -36,10 +36,9 @@ enum class Phase : std::uint8_t {
   kTunerEpoch,     ///< tuner decide/optimize (migration excluded)
   kMigration,      ///< index reconfiguration (rehash + move)
   kSample,         ///< periodic engine state sampling
-  kOverlapWait,    ///< driver blocked on the wall-mode overlap worker
 };
 
-inline constexpr std::size_t kNumPhases = 10;
+inline constexpr std::size_t kNumPhases = 9;
 
 const char* phase_name(Phase phase);
 
@@ -62,15 +61,6 @@ class Profiler {
     double exclusive_us = 0.0;    ///< wall time inside this phase only
   };
   PhaseStats stats(Phase phase) const;
-
-  /// Attribute wall time that was spent on a worker thread concurrently
-  /// with the driver (wall-mode pipeline overlap: the worker self-times
-  /// its drain and the driver records it here at adoption). Kept separate
-  /// from the exclusive totals — those still sum to driver-thread wall
-  /// time — and mirrored into `profile.<phase>.offthread_us` gauges.
-  /// Driver-thread only, like every other profiler entry point.
-  void record_offthread(Phase phase, double us);
-  double offthread_us(Phase phase) const;
 
   /// Sum of exclusive times over every phase == wall time spent inside
   /// any profiler scope.
@@ -100,10 +90,8 @@ class Profiler {
 
   std::array<std::uint64_t, kNumPhases> entries_{};
   std::array<double, kNumPhases> exclusive_us_{};
-  std::array<double, kNumPhases> offthread_us_{};
   std::array<Histogram*, kNumPhases> scope_us_{};
   std::array<Gauge*, kNumPhases> exclusive_gauge_{};
-  std::array<Gauge*, kNumPhases> offthread_gauge_{};
 };
 
 /// RAII phase scope; `profiler` may be null (detached telemetry), in which

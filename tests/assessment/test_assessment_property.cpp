@@ -7,6 +7,7 @@
 //       under adversarial uniform workloads.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -22,6 +23,19 @@ struct SweepCase {
   double theta;
   std::uint64_t seed;
 };
+
+// gtest prints a SweepCase as its raw bytes in the listed test name, so the
+// padding after `kind` must be zeroed rather than left as heap garbage.
+SweepCase make_sweep_case(AssessorKind kind, double epsilon, double theta,
+                          std::uint64_t seed) {
+  SweepCase sc;
+  std::memset(&sc, 0, sizeof(sc));
+  sc.kind = kind;
+  sc.epsilon = epsilon;
+  sc.theta = theta;
+  sc.seed = seed;
+  return sc;
+}
 
 class AssessorSweep : public ::testing::TestWithParam<SweepCase> {};
 
@@ -130,7 +144,7 @@ std::vector<SweepCase> sweep_cases() {
     for (const double eps : {0.002, 0.01}) {
       for (const double theta : {0.08, 0.12}) {
         for (const std::uint64_t seed : {1ull, 2ull}) {
-          cases.push_back(SweepCase{kind, eps, theta, seed});
+          cases.push_back(make_sweep_case(kind, eps, theta, seed));
         }
       }
     }

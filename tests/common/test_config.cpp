@@ -99,5 +99,20 @@ TEST(Config, IntAlsoReadableAsDouble) {
   EXPECT_EQ(cfg.get_double("n"), 7.0);
 }
 
+TEST(Config, UnreadKeysAreTheOnesNeverAskedFor) {
+  const char* argv[] = {"prog", "--rate=40", "--engine", "wall",
+                        "--bogus-flag=1", "seed=x3", "--profile"};
+  const Config cfg = Config::from_args(7, argv);
+  EXPECT_EQ(cfg.double_or("rate", 80.0), 40.0);
+  EXPECT_TRUE(cfg.has("profile"));
+  EXPECT_FALSE(cfg.get_string("missing").has_value());
+  // A malformed value still counts as read: the key was asked for.
+  EXPECT_EQ(cfg.int_or("seed", 1), 1);
+  EXPECT_EQ(cfg.unread_keys(),
+            (std::vector<std::string>{"bogus_flag", "engine"}));
+  EXPECT_EQ(cfg.string_or("engine", ""), "wall");
+  EXPECT_EQ(cfg.unread_keys(), std::vector<std::string>{"bogus_flag"});
+}
+
 }  // namespace
 }  // namespace amri

@@ -1,9 +1,10 @@
 // End-to-end differential equivalence for the batched execution pipeline:
 // a run with --batch-size > 1 must be observationally identical to the
-// tuple-at-a-time run — same join-result multiset, same final tuner IC per
-// state, same migration counts, and the same *modelled cost* down to the
-// meter's exact operation counters — across batch {1, 16, 256} and shard
-// {1, 4} combinations.
+// tuple-at-a-time run (batch size 1) — same join-result multiset, same
+// collected rows, same WHERE-filtered count, same final tuner IC per
+// state, same migration counts, the same warm-up boundary sample, and the
+// same *modelled cost* down to the meter's exact operation counters —
+// across batch {1, 16, 256} and shard {1, 4} combinations.
 //
 // Divergence channels are pinned the same way as the sharded differential
 // harness (kFixed routing, SRIA/DIA assessors, window off the arrival
@@ -52,7 +53,13 @@ class ScriptedSource final : public TupleSource {
 
 struct Observed {
   std::uint64_t outputs = 0;
+  std::uint64_t arrivals_filtered = 0;
   std::vector<std::vector<TupleSeq>> results;  ///< sorted member-seq lists
+  std::vector<std::vector<Value>> rows;        ///< sorted collected rows
+  /// The first sample; with a warm-up it is the boundary's t = 0 sample
+  /// (without one it is a mid-run sample, whose backlog depends on how
+  /// the schedule batches).
+  Sample first_sample;
   std::vector<std::string> final_ics;
   std::vector<std::uint64_t> migrations;
   std::uint64_t total_migrations = 0;
@@ -70,6 +77,8 @@ struct Scenario {
   std::size_t burst = 25;  ///< arrivals sharing each timestamp
   std::uint64_t seed = 1;
   Value domain = 6;
+  bool with_selection = false;  ///< WHERE filter on stream 0
+  double warmup_s = 0.0;        ///< training prefix before measurement
   assessment::AssessorKind assessor = assessment::AssessorKind::kSria;
   tuner::StatsRetention retention = tuner::StatsRetention::kReset;
   std::uint64_t reassess_every = 150;
@@ -119,12 +128,22 @@ Observed run_scenario(const Scenario& sc, std::size_t batch,
                       std::size_t shards) {
   // 30.025 s: 25 ms past a burst timestamp, so the expiry horizon never
   // sits within the batch's virtual-time cost jitter of an arrival.
-  const QuerySpec q =
+  QuerySpec q =
       make_complete_join_query(sc.streams, seconds_to_micros(30.025));
+  if (sc.with_selection) {
+    // Reject one domain value on stream 0 so the drain does real
+    // selection work and some arrivals are filtered.
+    q.set_selection(0, Selection({FilterPredicate{0, CompareOp::kNe, 2}}));
+  }
   ExecutorOptions o;
   const double span = 1.25 * static_cast<double>(sc.tuples / sc.burst);
-  o.duration = seconds_to_micros(span + 10);
+  o.warmup = seconds_to_micros(sc.warmup_s);
+  o.duration = seconds_to_micros(span + 10 - sc.warmup_s);
   o.sample_every = seconds_to_micros(20);
+  // Collect every measured row: a cap would cut the differently ordered
+  // result streams of the two schedules at different results.
+  o.collect_rows = true;
+  o.max_collected_rows = std::size_t{1} << 30;
   o.batch_size = batch;
   o.stem.backend = IndexBackend::kAmri;
   o.stem.shards = shards;
@@ -151,7 +170,16 @@ Observed run_scenario(const Scenario& sc, std::size_t batch,
   const RunResult r = ex.run(src);
 
   obs.outputs = r.outputs;
+  obs.arrivals_filtered = r.arrivals_filtered;
   std::sort(obs.results.begin(), obs.results.end());
+  for (const auto& row : r.rows) {
+    obs.rows.emplace_back(row.begin(), row.end());
+  }
+  std::sort(obs.rows.begin(), obs.rows.end());
+  EXPECT_EQ(obs.rows.size(), r.outputs)
+      << "rows are collected for measured results only";
+  EXPECT_FALSE(r.samples.empty());
+  if (!r.samples.empty()) obs.first_sample = r.samples.front();
   for (const StateSummary& s : r.states) {
     obs.migrations.push_back(s.migrations);
     obs.total_migrations += s.migrations;
@@ -180,6 +208,9 @@ void expect_equivalent(const Scenario& sc) {
   EXPECT_GT(base.outputs, 0u) << sc.name;
   EXPECT_GT(base.total_migrations, 0u) << sc.name;
   EXPECT_GT(base.routes, 0u) << sc.name;
+  if (sc.with_selection) {
+    EXPECT_GT(base.arrivals_filtered, 0u) << sc.name;
+  }
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
     // Cost counters are compared within one shard count: a targeted probe
     // of a sharded state legitimately compares fewer co-residents than the
@@ -188,9 +219,22 @@ void expect_equivalent(const Scenario& sc) {
     // run at the SAME shard count.
     const Observed& shard_base =
         shards == 1 ? base : run_scenario(sc, /*batch=*/1, shards);
+    if (sc.warmup_s > 0.0) {
+      // The warm-up boundary's baseline sample: its backlog and memory
+      // must not depend on how the measured phase batches. The boundary
+      // must fall mid-burst, or draining ahead of it would go unnoticed.
+      EXPECT_EQ(shard_base.first_sample.t, 0) << sc.name;
+      EXPECT_GT(shard_base.first_sample.backlog, 0u) << sc.name;
+      EXPECT_LT(shard_base.first_sample.backlog, sc.burst - 1) << sc.name;
+    }
     if (shards != 1) {
-      // Logical observables still match across shard counts.
-      EXPECT_EQ(shard_base.outputs, base.outputs) << sc.name;
+      // Logical observables still match across shard counts. With a
+      // warm-up, the measured phase starts at whichever arrival the
+      // (cost-driven) clock reaches the boundary on, so the measured-phase
+      // counts are compared within one shard count only.
+      if (sc.warmup_s == 0.0) {
+        EXPECT_EQ(shard_base.outputs, base.outputs) << sc.name;
+      }
       EXPECT_EQ(shard_base.results, base.results) << sc.name;
       EXPECT_EQ(shard_base.final_ics, base.final_ics) << sc.name;
       EXPECT_EQ(shard_base.migrations, base.migrations) << sc.name;
@@ -200,10 +244,20 @@ void expect_equivalent(const Scenario& sc) {
       const std::string tag =
           sc.name + " batch=" + std::to_string(batch) + " shards=" +
           std::to_string(shards);
-      EXPECT_EQ(got.outputs, base.outputs) << tag;
+      EXPECT_EQ(got.outputs, shard_base.outputs) << tag;
       EXPECT_EQ(got.results, base.results) << tag;
+      EXPECT_EQ(got.rows, shard_base.rows) << tag;
+      EXPECT_EQ(got.arrivals_filtered, shard_base.arrivals_filtered) << tag;
       EXPECT_EQ(got.final_ics, base.final_ics) << tag;
       EXPECT_EQ(got.migrations, base.migrations) << tag;
+      if (sc.warmup_s > 0.0) {
+        EXPECT_EQ(got.first_sample.t, shard_base.first_sample.t) << tag;
+        EXPECT_EQ(got.first_sample.backlog, shard_base.first_sample.backlog)
+            << tag;
+        EXPECT_EQ(got.first_sample.memory_bytes,
+                  shard_base.first_sample.memory_bytes)
+            << tag;
+      }
       EXPECT_EQ(got.routes, shard_base.routes) << tag;
       EXPECT_EQ(got.inserts, shard_base.inserts) << tag;
       EXPECT_EQ(got.deletes, shard_base.deletes) << tag;
@@ -256,6 +310,30 @@ TEST(BatchDifferential, TwoStreamDiaDrift) {
   sc.tuples = 1500;
   sc.seed = 505;
   sc.domain = 7;
+  sc.assessor = assessment::AssessorKind::kDia;
+  sc.retention = tuner::StatsRetention::kReset;
+  sc.first_half_s0 = 0.7;
+  sc.second_half_s0 = 0.15;
+  expect_equivalent(sc);
+}
+
+// A WHERE selection and a warm-up prefix: filtered counts and collected
+// rows must match, and the boundary's t = 0 sample must not move — before
+// the boundary every batch size drains one arrival at a time, and the
+// boundary arrival is popped (and the queue memory synced) before the
+// baseline sample is taken. The warm-up ends 30 us of modelled work into
+// the burst due at t = 10 s, so the boundary falls after a few of its
+// arrivals were processed; a schedule that drained a batch ahead of the
+// boundary would find it later, with a different backlog.
+TEST(BatchDifferential, TwoStreamDiaDriftWithSelectionAndWarmup) {
+  Scenario sc;
+  sc.name = "batch-two-stream-dia-selection";
+  sc.streams = 2;
+  sc.tuples = 1500;
+  sc.seed = 505;
+  sc.domain = 7;
+  sc.with_selection = true;
+  sc.warmup_s = 10.00003;
   sc.assessor = assessment::AssessorKind::kDia;
   sc.retention = tuner::StatsRetention::kReset;
   sc.first_half_s0 = 0.7;

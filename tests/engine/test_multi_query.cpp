@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <stdexcept>
 
 #include "../test_util.hpp"
 
@@ -247,6 +248,38 @@ TEST(MultiQuery, SingleQueryDegeneratesToExecutor) {
   MultiQueryExecutor multi(queries, zero_cost_options());
   const auto multi_r = multi.run(src2);
   EXPECT_EQ(single_r.outputs, multi_r.combined.outputs);
+}
+
+// The constructor's preconditions are checked errors in every build, not
+// debug-only assertions.
+TEST(MultiQuery, RejectsNoQueries) {
+  EXPECT_THROW(MultiQueryExecutor({}, base_options()), std::invalid_argument);
+}
+
+TEST(MultiQuery, RejectsMoreThan64Queries) {
+  // Accept sets are 64-bit masks; a 65th query would shift past the word.
+  std::vector<QuerySpec> queries;
+  for (int i = 0; i < 65; ++i) {
+    queries.push_back(two_queries(seconds_to_micros(50))[i % 2]);
+  }
+  EXPECT_THROW(MultiQueryExecutor(queries, base_options()),
+               std::invalid_argument);
+  queries.pop_back();
+  EXPECT_NO_THROW(MultiQueryExecutor(queries, base_options()));
+}
+
+TEST(MultiQuery, RejectsMismatchedStreamCounts) {
+  std::vector<QuerySpec> queries = two_queries(seconds_to_micros(50));
+  queries.push_back(make_complete_join_query(3, seconds_to_micros(50)));
+  EXPECT_THROW(MultiQueryExecutor(queries, base_options()),
+               std::invalid_argument);
+}
+
+TEST(MultiQuery, RejectsMismatchedWindows) {
+  std::vector<QuerySpec> queries = two_queries(seconds_to_micros(50));
+  queries.push_back(two_queries(seconds_to_micros(40))[0]);
+  EXPECT_THROW(MultiQueryExecutor(queries, base_options()),
+               std::invalid_argument);
 }
 
 }  // namespace

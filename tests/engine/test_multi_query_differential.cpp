@@ -4,15 +4,15 @@
 //   * a MultiQueryExecutor over ONE query must be observationally identical
 //     to the single-query Executor — same outputs, result multiset, cost
 //     charges, routing decisions, per-state tuner outcomes and memory peak
-//     — across the full shards × batch-size × engine grid (the sink is the
+//     — across the full shards × batch-size grid (the sink is the
 //     only moving part; the core is shared by construction);
 //   * attribute-disjoint queries through the shared states must produce
 //     exactly the per-query outputs of N independent single-query runs, on
-//     every grid point (sub-array carving, wall visibility and per-query
-//     assessor attribution must not leak results across queries);
+//     every grid point (sub-array carving and per-query assessor
+//     attribution must not leak results across queries);
 //   * overlapping-JAS queries must produce the same per-query outputs on
-//     every grid point as on the tuple-at-a-time virtual path (batched and
-//     wall multi-query routing are new code; arrival-major routing is the
+//     every grid point as at batch size 1 (batched multi-query routing is
+//     level-order; the depth-first tuple-at-a-time schedule is the
 //     reference);
 //   * the per-(query, shard) assessment grid must merge into exactly the
 //     unpartitioned assessment for the exact kinds (SRIA/DIA) and stay
@@ -61,21 +61,14 @@ class ScriptedSource final : public TupleSource {
 struct GridPoint {
   std::size_t shards = 1;
   std::size_t batch = 1;
-  EngineMode engine = EngineMode::kVirtual;
   std::string label() const {
     return "shards=" + std::to_string(shards) +
-           " batch=" + std::to_string(batch) +
-           (engine == EngineMode::kWall ? " engine=wall" : " engine=virtual");
+           " batch=" + std::to_string(batch);
   }
 };
 
 std::vector<GridPoint> feature_grid() {
-  return {{1, 1, EngineMode::kVirtual},
-          {1, 4, EngineMode::kVirtual},
-          {2, 1, EngineMode::kVirtual},
-          {2, 4, EngineMode::kVirtual},
-          {1, 4, EngineMode::kWall},
-          {2, 4, EngineMode::kWall}};
+  return {{1, 1}, {1, 4}, {2, 1}, {2, 4}};
 }
 
 /// Zero modelled costs + deterministic routing + an always-on AMRI tuner:
@@ -89,8 +82,6 @@ ExecutorOptions grid_options(const GridPoint& gp, std::size_t num_attrs) {
   o.stem.backend = IndexBackend::kAmri;
   o.stem.shards = gp.shards;
   o.batch_size = gp.batch;
-  o.engine = gp.engine;
-  o.wall_overlap_force = true;  // exercise the overlap handoff everywhere
   o.eddy.routing.kind = RoutingPolicyKind::kFixed;
   tuner::TunerOptions topts;
   topts.reassess_every = 120;
@@ -267,7 +258,7 @@ TEST(MultiQueryDifferential, DisjointQueriesEqualIndependentRuns) {
 
 // ---------------------------------------------------------------------------
 // Overlapping-JAS queries: every grid point matches the tuple-at-a-time
-// virtual reference.
+// reference.
 // ---------------------------------------------------------------------------
 
 TEST(MultiQueryDifferential, OverlappingQueriesGridMatchesTupleAtATime) {
@@ -276,7 +267,7 @@ TEST(MultiQueryDifferential, OverlappingQueriesGridMatchesTupleAtATime) {
       make_queries(3, n_attrs, /*disjoint=*/false, seconds_to_micros(15.025));
   const auto arrivals = make_arrivals(900, n_attrs, 4, 41);
 
-  const GridPoint reference{1, 1, EngineMode::kVirtual};
+  const GridPoint reference{1, 1};
   ScriptedSource ref_src(arrivals);
   MultiQueryExecutor ref_ex(queries, grid_options(reference, n_attrs));
   const MultiRunResult ref = ref_ex.run(ref_src);
@@ -302,7 +293,7 @@ TEST(MultiQueryDifferential, TunerDecisionsCarryPerQueryShares) {
   const auto arrivals = make_arrivals(1500, n_attrs, 6, 7);
 
   telemetry::Telemetry tel;
-  ExecutorOptions o = grid_options({1, 1, EngineMode::kVirtual}, n_attrs);
+  ExecutorOptions o = grid_options({1, 1}, n_attrs);
   o.telemetry = &tel;
   MultiQueryExecutor ex(queries, o);
   ScriptedSource src(arrivals);

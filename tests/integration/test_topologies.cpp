@@ -4,6 +4,7 @@
 // Complements test_integration.cpp's K4-clique coverage.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -147,6 +148,20 @@ struct TopologyCase {
   std::uint64_t seed;
 };
 
+// gtest prints a TopologyCase as its raw bytes in the listed test name, so
+// the padding after `kind` and `backend` must be zeroed rather than left as
+// heap garbage.
+TopologyCase make_topology_case(TopologyCase::Kind kind, std::size_t streams,
+                                IndexBackend backend, std::uint64_t seed) {
+  TopologyCase tc;
+  std::memset(&tc, 0, sizeof(tc));
+  tc.kind = kind;
+  tc.streams = streams;
+  tc.backend = backend;
+  tc.seed = seed;
+  return tc;
+}
+
 class TopologySweep : public ::testing::TestWithParam<TopologyCase> {};
 
 TEST_P(TopologySweep, MatchesReferenceExactly) {
@@ -181,7 +196,7 @@ std::vector<TopologyCase> topology_cases() {
       for (const auto backend :
            {IndexBackend::kScan, IndexBackend::kAmri,
             IndexBackend::kAccessModules}) {
-        cases.push_back(TopologyCase{kind, k, backend, 100 + k});
+        cases.push_back(make_topology_case(kind, k, backend, 100 + k));
       }
     }
   }
