@@ -1,15 +1,12 @@
 // MICRO-BATCH-PIPELINE — the batched probe path measured on real hardware
-// with google-benchmark, sweeping batch size x shard count:
-//   * probe churn (the steady state: window rotation + probes): batch = 1
-//     is the tuple-at-a-time baseline (single probe() calls); larger
-//     batches go through probe_batch, which pays the per-probe dispatch
-//     work — shard fan-out submit/wait, per-shard locking, access-pattern
-//     layout — once per batch instead of once per tuple. The modelled cost
-//     is identical by construction (the differential tests assert it);
-//     what this measures is the *wall-clock* amortisation;
-//   * grouped wildcard enumeration (unsharded): keys sharing an access
-//     pattern reuse one wildcard-combination table per batch instead of
-//     rebuilding it per probe.
+// with google-benchmark, sweeping batch size x shard count over probe
+// churn (the steady state: window rotation + probes). Batch = 1 is the
+// tuple-at-a-time baseline (single probe() calls); larger batches go
+// through probe_batch, which pays the per-probe dispatch work — shard
+// fan-out submit/wait and per-shard locking — once per batch instead of
+// once per tuple. The modelled cost is identical by construction (the
+// differential tests assert it); what this measures is the *wall-clock*
+// amortisation.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
@@ -19,7 +16,6 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "index/bit_address_index.hpp"
 #include "index/sharded_bit_index.hpp"
 
 namespace {
@@ -113,52 +109,6 @@ BENCHMARK(BM_BatchPipeline_ProbeChurn)
     ->Args({16, 4})
     ->Args({64, 4})
     ->Args({256, 4})
-    ->Unit(benchmark::kMicrosecond);
-
-/// Grouped wildcard enumeration: probes bind only the un-indexed attribute,
-/// so every probe must enumerate all 2^bits wildcard bucket combinations.
-/// A small window keeps the buckets sparse — the enumeration table itself
-/// is the dominant per-probe setup cost, and the grouped batch path builds
-/// it once per (access-pattern, bucket-bits) group instead of once per key.
-void BM_BatchPipeline_GroupedEnumeration(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const std::size_t window = 1000;
-  const auto tuples = make_tuples(window, 19);
-  BitAddressIndex idx(jas2(), IndexConfig({0, 12}), BitMapper::hashing(2));
-  for (const auto& t : tuples) idx.insert(t.get());
-
-  Rng rng(23);
-  std::vector<ProbeKey> keys(batch);
-  std::vector<std::vector<const Tuple*>> outs(batch);
-  std::vector<ProbeStats> stats(batch);
-  std::uint64_t compared = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch; ++i) {
-      keys[i].mask = 0b01;  // attr 0 bound; all 12 IC bits are wildcards
-      keys[i].values.clear();
-      keys[i].values.push_back(tuples[rng.below(tuples.size())]->at(0));
-      keys[i].values.push_back(0);
-      outs[i].clear();
-    }
-    if (batch == 1) {
-      stats[0] = idx.probe(keys[0], outs[0]);
-    } else {
-      idx.probe_batch(keys.data(), batch, outs.data(), stats.data());
-    }
-    for (std::size_t i = 0; i < batch; ++i) {
-      compared += stats[i].tuples_compared;
-    }
-    benchmark::DoNotOptimize(compared);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_BatchPipeline_GroupedEnumeration)
-    ->ArgName("batch")
-    ->Arg(1)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -12,7 +12,7 @@
 // shards (bit-address backends). `--batch-size N` moves up to N arrivals
 // through the pipeline together (vectorized probe path; 1, the default,
 // is tuple-at-a-time). `--decision-reuse N` reuses one routing decision
-// per done-mask N times (deprecated alias: `--routing-batch-size`).
+// per done-mask N times.
 // `--trace-out run.jsonl` attaches telemetry and
 // writes the full run trace (events + final metrics) as JSON lines.
 // `--trace-sample N` additionally traces every Nth arrival end-to-end as
@@ -198,7 +198,12 @@ int main(int argc, char** argv) {
   for (int b = 0; b < bits; ++b) {
     ++alloc[static_cast<std::size_t>(b) % alloc.size()];
   }
-  opts.stem.initial_config = index::IndexConfig(alloc);
+  try {
+    opts.stem.initial_config = index::IndexConfig(alloc);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "amri_sim: bits=" << bits << ": " << e.what() << "\n";
+    return 1;
+  }
   tuner::TunerOptions topts;
   topts.assessor_params.epsilon = cfg.double_or("epsilon", 0.05);
   topts.theta = cfg.double_or("theta", 0.1);
@@ -209,10 +214,8 @@ int main(int argc, char** argv) {
   opts.memory_budget = cfg.size_or("memory_budget", opts.memory_budget);
   opts.stem.shards = std::max<std::size_t>(cfg.size_or("shards", 1), 1);
   opts.batch_size = std::max<std::size_t>(cfg.size_or("batch_size", 1), 1);
-  // `routing_batch_size` is the knob's pre-rename name, kept as a
-  // deprecated alias; `decision_reuse` wins when both are given.
-  opts.eddy.decision_reuse = std::max<std::size_t>(
-      cfg.size_or("decision_reuse", cfg.size_or("routing_batch_size", 1)), 1);
+  opts.eddy.decision_reuse =
+      std::max<std::size_t>(cfg.size_or("decision_reuse", 1), 1);
   if (scenario == nullptr) {
     opts.model_params.lambda_d = rate;
     opts.model_params.lambda_r = rate * query.num_streams();

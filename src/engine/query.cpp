@@ -10,8 +10,11 @@ QuerySpec::QuerySpec(std::vector<Schema> schemas,
     : schemas_(std::move(schemas)),
       predicates_(std::move(predicates)),
       window_(window) {
-  assert(schemas_.size() >= 1);
-  assert(schemas_.size() <= 31);  // done-mask fits a uint32
+  // The done-mask (all_streams_mask) is a uint32 with one bit per stream.
+  if (schemas_.empty() || schemas_.size() > 31) {
+    throw std::invalid_argument("a query joins 1 to 31 streams (got " +
+                                std::to_string(schemas_.size()) + ")");
+  }
   // Derive each state's JAS: the attributes referenced by predicates, in
   // predicate order, deduplicated.
   layouts_.resize(schemas_.size());

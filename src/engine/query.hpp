@@ -52,6 +52,9 @@ struct StateLayout {
 /// default-window-length template).
 class QuerySpec {
  public:
+  /// Throws std::invalid_argument unless 1 <= schemas.size() <= 31 (the
+  /// done-mask is a uint32), when a predicate names an unknown stream, or
+  /// when one attribute joins two different peers.
   QuerySpec(std::vector<Schema> schemas, std::vector<JoinPredicate> predicates,
             TimeMicros window);
 

@@ -187,44 +187,21 @@ const Tuple* StemOperator::insert(const Tuple& t) {
 void StemOperator::insert_batch(const Tuple* arrivals, std::size_t n,
                                 std::vector<const Tuple*>& stored) {
   stored.reserve(stored.size() + n);
-  const std::size_t first = stored.size();
   for (std::size_t i = 0; i < n; ++i) {
     // deque::push_back never invalidates references to earlier elements,
     // so each stored pointer is stable for the rest of the batch.
     window_store_.push_back(arrivals[i]);
+    index_->insert(&window_store_.back());
     stored.push_back(&window_store_.back());
-  }
-  if (bit_index_ != nullptr) {
-    // Batched kernel: destination slots precomputed across the run.
-    // Equivalent to per-tuple insert().
-    bit_index_->insert_batch(stored.data() + first, n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) index_->insert(stored[first + i]);
   }
   sync_tuple_memory();
 }
 
 void StemOperator::expire(TimeMicros now) {
   const TimeMicros horizon = now - window_;
-  if (bit_index_ != nullptr) {
-    // The expiring run is the window's ts-ordered prefix; collecting it
-    // first hands the whole run to the batched erase in one call.
-    expiry_scratch_.clear();
-    for (const Tuple& t : window_store_) {
-      if (t.ts >= horizon) break;
-      expiry_scratch_.push_back(&t);
-    }
-    if (!expiry_scratch_.empty()) {
-      bit_index_->erase_batch(expiry_scratch_.data(), expiry_scratch_.size());
-      for (std::size_t i = 0; i < expiry_scratch_.size(); ++i) {
-        window_store_.pop_front();
-      }
-    }
-  } else {
-    while (!window_store_.empty() && window_store_.front().ts < horizon) {
-      index_->erase(&window_store_.front());
-      window_store_.pop_front();
-    }
+  while (!window_store_.empty() && window_store_.front().ts < horizon) {
+    index_->erase(&window_store_.front());
+    window_store_.pop_front();
   }
   sync_tuple_memory();
   AMRI_CHECK_INVARIANTS(*this);
@@ -263,63 +240,8 @@ telemetry::Histogram* StemOperator::pattern_histogram(AttrMask mask) {
 
 index::ProbeStats StemOperator::probe(const index::ProbeKey& key,
                                       std::vector<const Tuple*>& out) {
-  ++probes_;
-  const double charged_before =
-      (telemetry_ != nullptr && meter_ != nullptr) ? meter_->charged_us() : 0.0;
   index::ProbeStats stats;
-  {
-    telemetry::ScopedPhase probe_scope(profiler_, telemetry::Phase::kProbe);
-    stats = index_->probe(key, out);
-  }
-  if (telemetry_ != nullptr) {
-    probe_counter_->add();
-    if (meter_ != nullptr) {
-      // Modelled probe latency: the virtual time this probe charged to the
-      // clock (hashes, bucket visits, comparisons), per access pattern.
-      const double cost = meter_->charged_us() - charged_before;
-      probe_cost_hist_->observe(cost);
-      pattern_histogram(key.mask)->observe(cost);
-      // Feed the tuner's realized-cost accumulator before any decision
-      // below closes the epoch.
-      if (amri_tuner_ != nullptr) amri_tuner_->note_probe_cost(cost);
-    }
-  }
-  if (amri_tuner_ != nullptr && !shard_assessors_.empty()) {
-    // External grid attribution: the request lands in the active query's
-    // row, at the shard that served it; fan-outs touch every shard, so
-    // they round-robin deterministically (the merged assessment is
-    // shard-attribution-invariant anyway).
-    std::size_t shard_slot = 0;
-    if (sharded_index_ != nullptr) {
-      const std::size_t target = sharded_index_->target_shard(key);
-      shard_slot =
-          target < shard_slots_ ? target : fanout_rr_++ % shard_slots_;
-    }
-    shard_assessors_[active_query_ * shard_slots_ + shard_slot]->observe(
-        key.mask);
-    if (!epoch_query_requests_.empty()) {
-      ++epoch_query_requests_[active_query_];
-    }
-    amri_tuner_->note_request();
-    sync_stats_memory();
-    if (continuous_tuning_ && amri_tuner_->tuning_due()) {
-      merged_tune();
-    }
-  } else if (amri_tuner_ != nullptr) {
-    amri_tuner_->observe_request(key.mask);
-    if (continuous_tuning_ && amri_tuner_->tuning_due()) {
-      telemetry::ScopedPhase tune_scope(profiler_,
-                                        telemetry::Phase::kTunerEpoch);
-      amri_tuner_->maybe_tune(*bit_index_);
-    }
-  } else if (module_tuner_ != nullptr) {
-    module_tuner_->observe_request(key.mask);
-    if (continuous_tuning_ && module_tuner_->tuning_due()) {
-      telemetry::ScopedPhase tune_scope(profiler_,
-                                        telemetry::Phase::kTunerEpoch);
-      module_tuner_->maybe_tune(*module_index_);
-    }
-  }
+  probe_chunk(&key, 1, &out, &stats);
   return stats;
 }
 
@@ -329,10 +251,6 @@ void StemOperator::probe_batch(const index::ProbeKey* keys, std::size_t n,
   if (n == 0) return;
   if (batch_size_hist_ != nullptr) {
     batch_size_hist_->observe(static_cast<double>(n));
-  }
-  if (n == 1) {
-    stats[0] = probe(keys[0], outs[0]);
-    return;
   }
   std::size_t pos = 0;
   while (pos < n) {
@@ -363,55 +281,66 @@ void StemOperator::probe_chunk(const index::ProbeKey* keys, std::size_t n,
       (telemetry_ != nullptr && meter_ != nullptr) ? meter_->charged_us() : 0.0;
   {
     telemetry::ScopedPhase probe_scope(profiler_, telemetry::Phase::kProbe);
-    index_->probe_batch(keys, n, outs, stats);
+    // A single key takes the single-probe path, so probe() keeps
+    // ShardedBitIndex's per-probe fan-out telemetry instead of recording
+    // a one-key batch dispatch.
+    if (n == 1) {
+      stats[0] = index_->probe(keys[0], outs[0]);
+    } else {
+      index_->probe_batch(keys, n, outs, stats);
+    }
   }
   if (telemetry_ != nullptr) {
     probe_counter_->add(n);
     if (meter_ != nullptr) {
-      // A batch's modelled latency is charged as one aggregate, so each
-      // key's histograms receive the chunk average — observation counts
-      // stay identical to the tuple-at-a-time engine.
+      // Modelled probe latency: the virtual time the chunk charged to the
+      // clock (hashes, bucket visits, comparisons), per access pattern. A
+      // chunk is charged as one aggregate, so each key's histograms receive
+      // the chunk average — one observation per probe.
       const double total = meter_->charged_us() - charged_before;
       const double avg = total / static_cast<double>(n);
       for (std::size_t i = 0; i < n; ++i) {
         probe_cost_hist_->observe(avg);
         pattern_histogram(keys[i].mask)->observe(avg);
       }
+      // Feed the tuner's realized-cost accumulator before any decision
+      // below closes the epoch.
       if (amri_tuner_ != nullptr) amri_tuner_->note_probe_cost(total, n);
     }
   }
-  if (amri_tuner_ != nullptr && !shard_assessors_.empty()) {
-    // Weighted assessment: one observe per (grid slot, access pattern)
-    // group in the active query's row. Shard slots are computed with the
-    // exact sequential attribution sequence (target shard, else the
-    // deterministic round-robin), so the merged assessment matches n
-    // single probes bit-for-bit for the additive assessors.
-    struct SlotObs {
-      std::size_t slot;
-      AttrMask mask;
-      std::uint64_t weight;
-    };
-    SmallVector<SlotObs, 16> groups;
-    const std::size_t row = active_query_ * shard_slots_;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::size_t shard_slot = 0;
-      if (sharded_index_ != nullptr) {
-        const std::size_t target = sharded_index_->target_shard(keys[i]);
-        shard_slot =
-            target < shard_slots_ ? target : fanout_rr_++ % shard_slots_;
-      }
-      const std::size_t slot = row + shard_slot;
-      bool found = false;
-      for (SlotObs& o : groups) {
-        if (o.slot == slot && o.mask == keys[i].mask) {
-          ++o.weight;
-          found = true;
-          break;
-        }
-      }
-      if (!found) groups.push_back(SlotObs{slot, keys[i].mask, 1});
+  if (amri_tuner_ == nullptr && module_tuner_ == nullptr) return;
+  // One weighted observe per (grid slot, access pattern) group, in first
+  // appearance order, so the assessments match n single probes
+  // bit-for-bit for the additive assessors. The grid slot is the active
+  // query's row plus the shard that served the request; fan-outs touch
+  // every shard, so they round-robin deterministically (the merged
+  // assessment is shard-attribution-invariant anyway). Without a grid the
+  // slot is constant and the groups are the chunk's access patterns.
+  struct Obs {
+    std::size_t slot;
+    AttrMask mask;
+    std::uint64_t weight;
+  };
+  SmallVector<Obs, 16> groups;
+  const std::size_t row = active_query_ * shard_slots_;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t slot = row;
+    if (sharded_index_ != nullptr) {
+      const std::size_t target = sharded_index_->target_shard(keys[i]);
+      slot += target < shard_slots_ ? target : fanout_rr_++ % shard_slots_;
     }
-    for (const SlotObs& o : groups) {
+    bool found = false;
+    for (Obs& o : groups) {
+      if (o.slot == slot && o.mask == keys[i].mask) {
+        ++o.weight;
+        found = true;
+        break;
+      }
+    }
+    if (!found) groups.push_back(Obs{slot, keys[i].mask, 1});
+  }
+  if (amri_tuner_ != nullptr && !shard_assessors_.empty()) {
+    for (const Obs& o : groups) {
       shard_assessors_[o.slot]->observe(o.mask, o.weight);
     }
     if (!epoch_query_requests_.empty()) {
@@ -422,41 +351,23 @@ void StemOperator::probe_chunk(const index::ProbeKey* keys, std::size_t n,
     if (continuous_tuning_ && amri_tuner_->tuning_due()) {
       merged_tune();
     }
-  } else if (amri_tuner_ != nullptr || module_tuner_ != nullptr) {
-    struct MaskObs {
-      AttrMask mask;
-      std::uint64_t weight;
-    };
-    SmallVector<MaskObs, 8> groups;
-    for (std::size_t i = 0; i < n; ++i) {
-      bool found = false;
-      for (MaskObs& o : groups) {
-        if (o.mask == keys[i].mask) {
-          ++o.weight;
-          found = true;
-          break;
-        }
-      }
-      if (!found) groups.push_back(MaskObs{keys[i].mask, 1});
+  } else if (amri_tuner_ != nullptr) {
+    for (const Obs& o : groups) {
+      amri_tuner_->observe_request(o.mask, o.weight);
     }
-    if (amri_tuner_ != nullptr) {
-      for (const MaskObs& o : groups) {
-        amri_tuner_->observe_request(o.mask, o.weight);
-      }
-      if (continuous_tuning_ && amri_tuner_->tuning_due()) {
-        telemetry::ScopedPhase tune_scope(profiler_,
-                                          telemetry::Phase::kTunerEpoch);
-        amri_tuner_->maybe_tune(*bit_index_);
-      }
-    } else {
-      for (const MaskObs& o : groups) {
-        module_tuner_->observe_request(o.mask, o.weight);
-      }
-      if (continuous_tuning_ && module_tuner_->tuning_due()) {
-        telemetry::ScopedPhase tune_scope(profiler_,
-                                          telemetry::Phase::kTunerEpoch);
-        module_tuner_->maybe_tune(*module_index_);
-      }
+    if (continuous_tuning_ && amri_tuner_->tuning_due()) {
+      telemetry::ScopedPhase tune_scope(profiler_,
+                                        telemetry::Phase::kTunerEpoch);
+      amri_tuner_->maybe_tune(*bit_index_);
+    }
+  } else {
+    for (const Obs& o : groups) {
+      module_tuner_->observe_request(o.mask, o.weight);
+    }
+    if (continuous_tuning_ && module_tuner_->tuning_due()) {
+      telemetry::ScopedPhase tune_scope(profiler_,
+                                        telemetry::Phase::kTunerEpoch);
+      module_tuner_->maybe_tune(*module_index_);
     }
   }
 }

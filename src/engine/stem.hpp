@@ -97,7 +97,7 @@ class StemOperator {
   /// Store and index `n` arrivals at once (timestamps must be
   /// non-decreasing, like repeated insert() calls). Stored-copy pointers
   /// are appended to `stored`. Identical charges and final state to n
-  /// single insert() calls; memory accounting is synced once.
+  /// single insert() calls; tuple memory accounting is synced once.
   void insert_batch(const Tuple* arrivals, std::size_t n,
                     std::vector<const Tuple*>& stored);
 
@@ -119,11 +119,9 @@ class StemOperator {
   /// appended to `outs[i]`, its statistics stored in `stats[i]`. The batch
   /// is chunked at the tuner's decision boundary (requests_until_due) so
   /// mid-batch tuning fires at the same request index as n single probes;
-  /// within a chunk the assessors receive one weighted observe per
-  /// (shard, access-pattern) group, attributed with the sequential
-  /// round-robin sequence. Exact-count equivalent to n probe() calls for
-  /// the exact assessors (SRIA/DIA); epsilon-equivalent for the
-  /// compressing ones (see docs/architecture.md).
+  /// each chunk runs through probe_chunk. Exact-count equivalent to n
+  /// probe() calls for the exact assessors (SRIA/DIA); epsilon-equivalent
+  /// for the compressing ones (see docs/architecture.md).
   void probe_batch(const index::ProbeKey* keys, std::size_t n,
                    std::vector<const Tuple*>* outs, index::ProbeStats* stats);
 
@@ -191,9 +189,11 @@ class StemOperator {
  private:
   void sync_tuple_memory();
   void sync_stats_memory();
-  /// One tuner-boundary-free chunk of probe_batch: index batch probe,
-  /// telemetry, grouped weighted assessor feed, then at most one tuning
-  /// decision at the chunk end.
+  /// The one probe body: index probe of a tuner-boundary-free chunk (a
+  /// single key goes through TupleIndex::probe), probe telemetry, one
+  /// weighted assessor/tuner observe per (shard, access-pattern) group
+  /// attributed with the sequential round-robin sequence, then at most one
+  /// tuning decision at the chunk end. probe() is its one-key call.
   void probe_chunk(const index::ProbeKey* keys, std::size_t n,
                    std::vector<const Tuple*>* outs, index::ProbeStats* stats);
   /// Merged tuning epoch (sharded and/or multi-query): merge the whole
@@ -230,9 +230,6 @@ class StemOperator {
   /// Requests attributed to each query since the last merged decision
   /// (multi-query mode only) — the decision timeline's per-query shares.
   std::vector<std::uint64_t> epoch_query_requests_;
-  /// Scratch for expire()'s batched erase (pointer run into window_store_);
-  /// a member so steady-state expiry never reallocates.
-  std::vector<const Tuple*> expiry_scratch_;
   std::uint64_t fanout_rr_ = 0;
   std::size_t tracked_stats_bytes_ = 0;
   bool continuous_tuning_ = false;

@@ -1,6 +1,8 @@
 #include "index/index_config.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace amri::index {
 
@@ -8,7 +10,12 @@ IndexConfig::IndexConfig(std::vector<std::uint8_t> bits_per_attr)
     : bits_(std::move(bits_per_attr)) {
   shifts_.resize(bits_.size(), 0);
   for (const std::uint8_t b : bits_) total_bits_ += b;
-  assert(total_bits_ <= kMaxTotalBits);
+  if (total_bits_ > kMaxTotalBits) {
+    throw std::invalid_argument(
+        "index config uses " + std::to_string(total_bits_) +
+        " bucket-id bits; at most " + std::to_string(kMaxTotalBits) +
+        " are allowed");
+  }
   // Chunk layout: attribute 0 occupies the most-significant bits.
   int shift = total_bits_;
   for (std::size_t i = 0; i < bits_.size(); ++i) {

@@ -19,6 +19,7 @@ class IndexConfig {
   static constexpr int kMaxTotalBits = 30;  ///< keeps 2^B enumerable
 
   IndexConfig() = default;
+  /// Throws std::invalid_argument when the bits sum above kMaxTotalBits.
   explicit IndexConfig(std::vector<std::uint8_t> bits_per_attr);
 
   /// Convenience: all-zero config over `n` attributes (pure scan).

@@ -211,7 +211,7 @@ void ShardedBitIndex::probe_batch(const ProbeKey* keys, std::size_t n,
   const std::size_t num_shards = shards_.size();
   if (num_shards == 1) {
     // Everything lands on shard 0 (targeted or width-1 fan-out alike):
-    // one lock, one grouped batch probe underneath.
+    // one lock for the whole batch.
     {
       Shard& s = *shards_[0];
       MutexLock lk(s.mu);

@@ -74,8 +74,8 @@ class ShardedBitIndex final : public TupleIndex {
   /// Batched probe: buckets the keys by owning shard (fan-out keys go to
   /// every shard) and dispatches ONE ThreadPool task per shard for the
   /// whole batch — fan-out width is paid per batch, not per tuple. Each
-  /// shard answers its keys through BitAddressIndex::probe_batch (per-mask
-  /// grouping), results merge deterministically (targeted keys verbatim,
+  /// shard answers its keys one probe at a time under its lock, results
+  /// merge deterministically (targeted keys verbatim,
   /// fan-out keys in shard-id order) and the wrapper charges per key in
   /// batch order — exactly equivalent to n single probe() calls.
   void probe_batch(const ProbeKey* keys, std::size_t n,

@@ -55,8 +55,7 @@ class TupleIndex {
   /// equivalence with n single probe() calls in order — same matches in
   /// the same order, same per-key stats, same total metered cost (shared
   /// batch computations are still charged once per key they serve).
-  /// The default implementation is that loop; BitAddressIndex overrides it
-  /// to share per-access-pattern work across the batch and ShardedBitIndex
+  /// The default implementation is that loop; ShardedBitIndex overrides it
   /// to dispatch one task per shard per batch.
   virtual void probe_batch(const ProbeKey* keys, std::size_t n,
                            std::vector<const Tuple*>* outs,

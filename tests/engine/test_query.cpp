@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace amri::engine {
 namespace {
@@ -88,6 +90,25 @@ TEST(QuerySpec, RejectsAttributeInTwoPredicates) {
   std::vector<JoinPredicate> preds = {{0, 0, 1, 0}, {0, 0, 2, 0}};
   EXPECT_THROW(QuerySpec(std::move(schemas), std::move(preds), 1),
                std::invalid_argument);
+}
+
+std::vector<Schema> numbered_schemas(std::size_t n) {
+  std::vector<Schema> schemas;
+  for (std::size_t i = 0; i < n; ++i) {
+    schemas.emplace_back("S" + std::to_string(i),
+                         std::vector<std::string>{"x"});
+  }
+  return schemas;
+}
+
+TEST(QuerySpec, StreamCountIsCheckedInReleaseBuilds) {
+  // The done-mask is a uint32: 31 streams is the widest query, and the
+  // check must hold with NDEBUG too (32 would shift a uint32 by 32).
+  const QuerySpec widest(numbered_schemas(31), {}, 1);
+  EXPECT_EQ(widest.num_streams(), 31u);
+  EXPECT_EQ(widest.all_streams_mask(), 0x7fffffffu);
+  EXPECT_THROW(QuerySpec(numbered_schemas(32), {}, 1), std::invalid_argument);
+  EXPECT_THROW(QuerySpec(numbered_schemas(0), {}, 1), std::invalid_argument);
 }
 
 TEST(QuerySpec, DuplicatePredicateIsIdempotent) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "engine/executor.hpp"
 
@@ -106,6 +107,22 @@ TEST(QueryParser, SelfJoinViaTwoAliases) {
   EXPECT_EQ(p.catalog_ids, (std::vector<StreamId>{0, 0}));
   EXPECT_EQ(p.query.predicates()[0].left_stream, 0u);
   EXPECT_EQ(p.query.predicates()[0].right_stream, 1u);
+}
+
+TEST(QueryParser, SelfJoinStreamLimitIsChecked) {
+  // A self-join lists one catalog stream under many aliases, so the
+  // parser alone does not bound the stream count: QuerySpec rejects the
+  // 32nd stream.
+  auto self_join = [](int aliases) {
+    std::string q = "SELECT * FROM ";
+    for (int i = 0; i < aliases; ++i) {
+      if (i != 0) q += ", ";
+      q += "Trades T" + std::to_string(i);
+    }
+    return q + " WHERE T0.symbol = T1.symbol";
+  };
+  EXPECT_EQ(parse_query(self_join(31), catalog()).query.num_streams(), 31u);
+  EXPECT_THROW(parse_query(self_join(32), catalog()), std::invalid_argument);
 }
 
 TEST(QueryParser, ThreeWayJoinChain) {

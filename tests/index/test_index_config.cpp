@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 namespace amri::index {
@@ -15,6 +16,13 @@ TEST(IndexConfig, TotalsAndCounts) {
   EXPECT_EQ(ic.indexed_attr_count(), 3);
   EXPECT_EQ(ic.indexed_mask(), 0b111u);
   EXPECT_EQ(ic.bucket_count(), 1024u);
+}
+
+TEST(IndexConfig, BitBudgetIsCheckedInReleaseBuilds) {
+  const IndexConfig widest({10, 10, 10});
+  EXPECT_EQ(widest.total_bits(), IndexConfig::kMaxTotalBits);
+  EXPECT_THROW(IndexConfig({10, 10, 11}), std::invalid_argument);
+  EXPECT_THROW(IndexConfig({40}), std::invalid_argument);
 }
 
 TEST(IndexConfig, ZeroBitsAttrNotIndexed) {

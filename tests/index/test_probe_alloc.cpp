@@ -1,10 +1,9 @@
-// Allocation parity for the batched probe path (regression): probe_batch
-// used to materialize the full wildcard-combination vector per group —
-// 2^wildcard_bits bucket ids — so a wide-wildcard batch transiently
-// allocated memory the equivalent sequence of probe() calls never needed.
-// Combos are now materialized only up to kComboMaterializeCap (wider
-// groups enumerate lazily), so the batched path's allocations must stay in
-// the same league as the unbatched path's.
+// Allocation parity for the batched probe path (regression): a batched
+// probe must never allocate a wildcard-combination table (2^wildcard_bits
+// bucket ids) that the equivalent sequence of probe() calls does not
+// need. BitAddressIndex batches run TupleIndex::probe_batch's per-key
+// loop, so these tests pin the batched path's allocations to the same
+// league as the unbatched path's.
 //
 // Instrumented with replacement global new/delete that count only while a
 // thread-local flag is up; everything outside the `AllocTracker` scopes
@@ -88,11 +87,10 @@ class AllocTracker {
 };
 
 TEST(ProbeAlloc, WideWildcardBatchMatchesUnbatchedAllocations) {
-  // 12 indexed bits, all wildcard (mask 0): enum_count = 4096, which is
-  // wider than kComboMaterializeCap (1024) — the group must take the lazy
-  // enumeration path. Fill every one of the 4096 buckets so the
-  // enumerate-vs-filter choice (enum_count <= occupied buckets) actually
-  // picks enumeration, the regime the old code materialized combos in.
+  // 12 indexed bits, all wildcard (mask 0): enum_count = 4096. Fill every
+  // one of the 4096 buckets so the enumerate-vs-filter choice
+  // (enum_count <= occupied buckets) actually picks enumeration, the
+  // regime a combination table would be built in.
   const JoinAttributeSet jas({0, 1, 2});
   const IndexConfig config({4, 4, 4});
   BitAddressIndex idx(jas, config, BitMapper::hashing(3));
@@ -141,11 +139,10 @@ TEST(ProbeAlloc, WideWildcardBatchMatchesUnbatchedAllocations) {
     ASSERT_EQ(outs_batched[i], outs_single[i]) << "key " << i;
   }
 
-  // The old code's single combos allocation was enum_count * 8 = 32 KiB.
-  // The lazy path's largest allocation is batch bookkeeping (group table,
-  // hash-map node) — assert it stays an order of magnitude below a full
-  // materialization, and that total batched bytes stay in the same league
-  // as the unbatched passes rather than scaling with 2^wildcard_bits.
+  // A full combination table would be enum_count * 8 = 32 KiB. Assert the
+  // batched path's largest allocation stays an order of magnitude below
+  // that, and that total batched bytes stay in the same league as the
+  // unbatched passes rather than scaling with 2^wildcard_bits.
   constexpr std::size_t kFullMaterialization = 4096 * sizeof(BucketId);
   EXPECT_LT(batched.peak_single, kFullMaterialization / 4)
       << "batched probe transiently allocated a combo-vector-sized block";
@@ -154,8 +151,8 @@ TEST(ProbeAlloc, WideWildcardBatchMatchesUnbatchedAllocations) {
 }
 
 TEST(ProbeAlloc, NarrowWildcardMayMaterializeUnderCap) {
-  // 8 wildcard bits (256 combos) is under the cap: materialization is
-  // allowed but must be bounded by enum_count, never beyond it.
+  // 8 wildcard bits (256 combos): a batched probe may allocate at most one
+  // combination table's worth in a single block, never beyond it.
   const JoinAttributeSet jas({0, 1, 2});
   const IndexConfig config({4, 4, 0});
   BitAddressIndex idx(jas, config, BitMapper::hashing(3));
@@ -184,7 +181,7 @@ TEST(ProbeAlloc, NarrowWildcardMayMaterializeUnderCap) {
     batched = tracker.stop();
   }
   EXPECT_LE(batched.peak_single, 256 * sizeof(BucketId) + 64)
-      << "under-cap materialization exceeded one combo table";
+      << "batched probe allocated more than one combo table at once";
 }
 
 }  // namespace

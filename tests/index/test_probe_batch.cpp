@@ -1,10 +1,10 @@
-// The batched probe contract (TupleIndex::probe_batch): every
-// implementation — the default per-key loop, BitAddressIndex's grouped
-// override, and ShardedBitIndex's per-shard dispatch — must reproduce N
+// The batched probe contract (TupleIndex::probe_batch): both
+// implementations — the default per-key loop (which BitAddressIndex
+// inherits, reached here through virtual dispatch and through an explicit
+// base call) and ShardedBitIndex's per-shard dispatch — must reproduce N
 // single probe() calls exactly: same per-key match vectors (same order),
 // same per-key ProbeStats, same summed ProbeStats, and the same cost-meter
-// counters (shared batch computations are charged once per key they
-// serve). Exercised under random index configurations and random access
+// counters. Exercised under random index configurations and random access
 // patterns, including the empty mask (full fan-out) and fully-bound keys.
 #include <gtest/gtest.h>
 
@@ -74,9 +74,9 @@ void run_round(std::uint64_t seed, std::size_t shards) {
   const IndexConfig config = random_config(rng);
   const BitMapper mapper = BitMapper::hashing(3);
 
-  CostMeter ref_meter, grouped_meter, default_meter, sharded_meter;
+  CostMeter ref_meter, batched_meter, default_meter, sharded_meter;
   BitAddressIndex ref(jas, config, mapper, &ref_meter);
-  BitAddressIndex grouped(jas, config, mapper, &grouped_meter);
+  BitAddressIndex batched(jas, config, mapper, &batched_meter);
   BitAddressIndex defaulted(jas, config, mapper, &default_meter);
   ShardedBitIndex sharded(jas, config, mapper, shards, /*shard_pos=*/1,
                           /*pool=*/nullptr, &sharded_meter);
@@ -88,7 +88,7 @@ void run_round(std::uint64_t seed, std::size_t shards) {
   const auto live = pool.pointers();
   for (const Tuple* t : live) {
     ref.insert(t);
-    grouped.insert(t);
+    batched.insert(t);
     defaulted.insert(t);
     sharded.insert(t);
     sharded_ref.insert(t);
@@ -96,7 +96,7 @@ void run_round(std::uint64_t seed, std::size_t shards) {
   // Insertion charges differ between wrapper and plain index; probes are
   // what this test compares, so zero everything here.
   ref_meter.reset_counts();
-  grouped_meter.reset_counts();
+  batched_meter.reset_counts();
   default_meter.reset_counts();
   sharded_meter.reset_counts();
   sharded_ref_meter.reset_counts();
@@ -115,24 +115,24 @@ void run_round(std::uint64_t seed, std::size_t shards) {
     sh_want_stats[i] = sharded_ref.probe(keys[i], sh_want[i]);
   }
 
-  std::vector<std::vector<const Tuple*>> got_grouped(n), got_default(n),
+  std::vector<std::vector<const Tuple*>> got_batched(n), got_default(n),
       got_sharded(n);
-  std::vector<ProbeStats> grouped_stats(n), default_stats(n), sharded_stats(n);
-  grouped.probe_batch(keys.data(), n, got_grouped.data(), grouped_stats.data());
+  std::vector<ProbeStats> batched_stats(n), default_stats(n), sharded_stats(n);
+  batched.probe_batch(keys.data(), n, got_batched.data(), batched_stats.data());
   defaulted.TupleIndex::probe_batch(keys.data(), n, got_default.data(),
                                     default_stats.data());
   sharded.probe_batch(keys.data(), n, got_sharded.data(), sharded_stats.data());
 
-  ProbeStats want_sum, grouped_sum, default_sum, sharded_sum;
+  ProbeStats want_sum, batched_sum, default_sum, sharded_sum;
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(got_grouped[i], want[i]) << "grouped matches, key " << i;
+    EXPECT_EQ(got_batched[i], want[i]) << "batched matches, key " << i;
     EXPECT_EQ(got_default[i], want[i]) << "default matches, key " << i;
     EXPECT_EQ(got_sharded[i], sh_want[i]) << "sharded matches, key " << i;
-    EXPECT_EQ(grouped_stats[i].buckets_visited, want_stats[i].buckets_visited)
+    EXPECT_EQ(batched_stats[i].buckets_visited, want_stats[i].buckets_visited)
         << "key " << i;
-    EXPECT_EQ(grouped_stats[i].tuples_compared, want_stats[i].tuples_compared)
+    EXPECT_EQ(batched_stats[i].tuples_compared, want_stats[i].tuples_compared)
         << "key " << i;
-    EXPECT_EQ(grouped_stats[i].matches, want_stats[i].matches) << "key " << i;
+    EXPECT_EQ(batched_stats[i].matches, want_stats[i].matches) << "key " << i;
     EXPECT_EQ(default_stats[i].matches, want_stats[i].matches) << "key " << i;
     EXPECT_EQ(sharded_stats[i].buckets_visited,
               sh_want_stats[i].buckets_visited)
@@ -143,21 +143,21 @@ void run_round(std::uint64_t seed, std::size_t shards) {
     EXPECT_EQ(sharded_stats[i].matches, sh_want_stats[i].matches)
         << "key " << i;
     want_sum += want_stats[i];
-    grouped_sum += grouped_stats[i];
+    batched_sum += batched_stats[i];
     default_sum += default_stats[i];
     sharded_sum += sharded_stats[i];
   }
-  EXPECT_EQ(grouped_sum.matches, want_sum.matches);
-  EXPECT_EQ(grouped_sum.tuples_compared, want_sum.tuples_compared);
-  EXPECT_EQ(grouped_sum.buckets_visited, want_sum.buckets_visited);
+  EXPECT_EQ(batched_sum.matches, want_sum.matches);
+  EXPECT_EQ(batched_sum.tuples_compared, want_sum.tuples_compared);
+  EXPECT_EQ(batched_sum.buckets_visited, want_sum.buckets_visited);
   EXPECT_EQ(default_sum.matches, want_sum.matches);
-  EXPECT_EQ(sharded_sum.matches, grouped_sum.matches)
+  EXPECT_EQ(sharded_sum.matches, batched_sum.matches)
       << "partitioning must not change the match count";
 
-  // Cost parity: shared group work (wildcard enumeration, fixed masks) is
-  // still charged once per key it serves, so the meters agree exactly.
-  EXPECT_TRUE(MeterSnapshot(grouped_meter) == MeterSnapshot(ref_meter))
-      << "grouped batch charges diverge from sequential probes";
+  // Cost parity: every batch path charges exactly what sequential probes
+  // charge, so the meters agree exactly.
+  EXPECT_TRUE(MeterSnapshot(batched_meter) == MeterSnapshot(ref_meter))
+      << "batched charges diverge from sequential probes";
   EXPECT_TRUE(MeterSnapshot(default_meter) == MeterSnapshot(ref_meter))
       << "default batch loop charges diverge from sequential probes";
   EXPECT_TRUE(MeterSnapshot(sharded_meter) == MeterSnapshot(sharded_ref_meter))

@@ -1,12 +1,12 @@
 // The enumerate-vs-filter crossover, pinned at its exact boundary: a
 // wildcard probe enumerates the 2^wildcard_bits combinations iff
 // enum_count <= occupied buckets, otherwise it filters the directory.
-// probe() and probe_batch() compute the strategy independently (probe per
-// call, probe_batch once per mask group), so this test drives the occupied
-// count through enum_count - 1, enum_count and enum_count + 1 and asserts
-// both paths pick the same strategy, visit the same buckets and charge the
-// same meter counts at every step. Plus the pow2_saturating extremes that
-// guarantee very wide wildcards can never flip back to enumeration.
+// This test drives the occupied count through enum_count - 1, enum_count
+// and enum_count + 1 and asserts that probe() and probe_batch() (the
+// default per-key loop) pick the same strategy, visit the same buckets and
+// charge the same meter counts at every step. Plus the pow2_saturating
+// extremes that guarantee very wide wildcards can never flip back to
+// enumeration.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -140,7 +140,7 @@ TEST(ProbeStrategyBoundary, CrossoverFlipsExactlyAtOccupancy) {
     // probe_batch must make the identical choice per key, replay the same
     // bucket visits, and charge the same meter counts as sequential
     // probes. Mixed batch: the boundary mask plus a fully-bound key, so
-    // the group machinery runs alongside the degenerate path.
+    // the wildcard path runs alongside the degenerate one.
     ProbeKey bound;
     bound.mask = 0b111;
     bound.values = {1, 2, 3};
