@@ -45,7 +45,6 @@
 #include "common/config.hpp"
 #include "common/table_printer.hpp"
 #include "engine/aggregate.hpp"
-#include "engine/executor.hpp"
 #include "engine/multi_query.hpp"
 #include "engine/query_parser.hpp"
 #include "telemetry/export.hpp"
@@ -190,8 +189,12 @@ int main(int argc, char** argv) {
                                      : engine::ExecutorOptions{};
   opts.duration = seconds_to_micros(sim_seconds);
   opts.sample_every = seconds_to_micros(sim_seconds / 6);
-  opts.stem.backend =
-      backend_from(cfg.string_or("backend", "amri"));
+  try {
+    opts.stem.backend = backend_from(cfg.string_or("backend", "amri"));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "amri_sim: " << e.what() << "\n";
+    return 1;
+  }
   const std::size_t n_attrs = query.layout(0).jas.size();
   const int bits = static_cast<int>(cfg.int_or("bits", 8));
   std::vector<std::uint8_t> alloc(std::max<std::size_t>(n_attrs, 1), 0);
@@ -268,27 +271,27 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // The executor outlives the whole report tail: telemetry keeps a pointer
+  // to the executor-owned virtual clock (trace export stamps the write
+  // time), so destroying the executor before write_trace_file would
+  // dangle it.
+  std::optional<engine::MultiQueryExecutor> executor;
+  try {
+    executor.emplace(num_queries > 1 ? scenario->queries()
+                                     : std::vector<engine::QuerySpec>{query},
+                     opts);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "amri_sim: " << e.what() << "\n";
+    return 1;
+  }
+
   std::cout << "running: " << run_label;
   if (num_queries > 1) std::cout << " (" << num_queries << " queries)";
   std::cout << "\n\n";
 
-  // The executors outlive the whole report tail: telemetry keeps a pointer
-  // to the executor-owned virtual clock (trace export stamps the write
-  // time), so destroying the executor before write_trace_file would
-  // dangle it.
-  engine::RunResult result;
-  std::vector<std::uint64_t> per_query_outputs;
-  std::optional<engine::Executor> executor;
-  std::optional<engine::MultiQueryExecutor> mq_executor;
-  if (num_queries > 1) {
-    mq_executor.emplace(scenario->queries(), opts);
-    auto mr = mq_executor->run(*source);
-    result = std::move(mr.combined);
-    per_query_outputs = std::move(mr.per_query_outputs);
-  } else {
-    executor.emplace(query, opts);
-    result = executor->run(*source);
-  }
+  engine::MultiRunResult run = executor->run(*source);
+  const engine::RunResult& result = run.combined;
+  const std::vector<std::uint64_t>& per_query_outputs = run.per_query_outputs;
 
   if (num_queries > 1) {
     // Per-query outputs from the shared-state run: one row per template,

@@ -9,21 +9,32 @@ namespace amri::engine {
 
 EddyRouter::EddyRouter(const QuerySpec& query, std::vector<StemOperator*> stems,
                        EddyOptions options, CostMeter* meter,
-                       telemetry::Telemetry* telemetry)
+                       telemetry::Telemetry* telemetry,
+                       const std::string& metrics_prefix)
     : query_(query),
       stems_(std::move(stems)),
+      position_maps_(query_.num_streams()),
       options_(options),
       policy_(make_routing_policy(options.routing)),
       meter_(meter),
       telemetry_(telemetry) {
   assert(stems_.size() == query_.num_streams());
+  for (StreamId s = 0; s < query_.num_streams(); ++s) {
+    const index::JoinAttributeSet& query_jas = query_.layout(s).jas;
+    const index::JoinAttributeSet& stem_jas = stems_[s]->layout().jas;
+    for (std::size_t p = 0; p < query_jas.size(); ++p) {
+      const std::size_t stem_pos =
+          stem_jas.position_of(query_jas.tuple_attr(p));
+      assert(stem_pos < stem_jas.size());
+      position_maps_[s].push_back(static_cast<std::uint8_t>(stem_pos));
+    }
+  }
   if (telemetry_ != nullptr) {
     auto& reg = telemetry_->metrics();
-    const std::string& prefix = options_.metrics_prefix;
-    decisions_counter_ = &reg.counter(prefix + ".decisions");
-    results_counter_ = &reg.counter(prefix + ".results");
-    truncated_counter_ = &reg.counter(prefix + ".partials_truncated");
-    route_change_counter_ = &reg.counter(prefix + ".route_changes");
+    decisions_counter_ = &reg.counter(metrics_prefix + ".decisions");
+    results_counter_ = &reg.counter(metrics_prefix + ".results");
+    truncated_counter_ = &reg.counter(metrics_prefix + ".partials_truncated");
+    route_change_counter_ = &reg.counter(metrics_prefix + ".route_changes");
   }
 }
 
@@ -129,16 +140,14 @@ std::uint64_t EddyRouter::route(const Tuple* stored,
 
     // Bind every available join attribute of the target state,
     // translating query-local JAS positions to the (possibly wider)
-    // shared-stem positions in multi-query mode.
+    // shared-stem positions.
     const StateLayout& layout = query_.layout(target);
-    const std::vector<std::uint8_t>* pos_map =
-        position_maps_.empty() ? nullptr : &position_maps_[target];
+    const std::vector<std::uint8_t>& pos_map = position_maps_[target];
     index::ProbeKey key;
     key.values.resize(stems_[target]->layout().jas.size(), Value{0});
     for_each_bit(ap, [&](unsigned pos) {
       const auto& peer = layout.peers[pos];
-      const unsigned stem_pos =
-          pos_map == nullptr ? pos : (*pos_map)[pos];
+      const unsigned stem_pos = pos_map[pos];
       key.mask |= (AttrMask{1} << stem_pos);
       key.values[stem_pos] = p.members[peer.stream]->at(peer.attr);
     });
@@ -347,8 +356,7 @@ std::uint64_t EddyRouter::route_batch(const Tuple* const* stored,
       // Build every partition member's probe key, then probe the target
       // STeM once through its batched path.
       const StateLayout& layout = query_.layout(target);
-      const std::vector<std::uint8_t>* pos_map =
-          position_maps_.empty() ? nullptr : &position_maps_[target];
+      const std::vector<std::uint8_t>& pos_map = position_maps_[target];
       const std::size_t stem_width = stems_[target]->layout().jas.size();
       batch_keys_.assign(part.size(), index::ProbeKey{});
       batch_stats_.assign(part.size(), index::ProbeStats{});
@@ -359,7 +367,7 @@ std::uint64_t EddyRouter::route_batch(const Tuple* const* stored,
         key.values.resize(stem_width, Value{0});
         for_each_bit(ap, [&](unsigned pos) {
           const auto& peer = layout.peers[pos];
-          const unsigned stem_pos = pos_map == nullptr ? pos : (*pos_map)[pos];
+          const unsigned stem_pos = pos_map[pos];
           key.mask |= (AttrMask{1} << stem_pos);
           key.values[stem_pos] = p.members[peer.stream]->at(peer.attr);
         });

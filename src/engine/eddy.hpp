@@ -35,12 +35,6 @@ struct EddyOptions {
   /// `--batch-size` — how many arrivals move through the pipeline together
   /// — is unambiguous; this knob only caches the policy choice.)
   std::size_t decision_reuse = 1;
-  /// Registry prefix for this router's counters ("<prefix>.decisions",
-  /// ".results", ".partials_truncated", ".route_changes"). Multi-query
-  /// executors label each query's eddy ("q0.eddy", "q1.eddy", …) so the
-  /// metrics stay per-query attributable; the single-query default keeps
-  /// the legacy names.
-  std::string metrics_prefix = "eddy";
 };
 
 /// A complete join result: one stored tuple per stream.
@@ -51,24 +45,21 @@ struct JoinResult {
 class EddyRouter {
  public:
   /// route_batch: no batch member carries the active trace span. The run
-  /// loop and the routing sinks use this same sentinel.
+  /// loop uses this same sentinel.
   static constexpr std::size_t kNoSpanRoot = static_cast<std::size_t>(-1);
 
-  /// `stems[s]` must be the STeM of stream s. Optional `sink` collects
-  /// complete results (null = count only). With `telemetry` set, routing
-  /// decisions are counted and every change of routing target for a given
-  /// done-mask is logged as a routing_change event.
+  /// `stems[s]` must be the STeM of stream s. A stem may index a
+  /// *superset* of this query's join attributes (the union over all
+  /// queries sharing the state); probe keys are laid out in the stem's JAS
+  /// order. Optional `sink` collects complete results (null = count only).
+  /// With `telemetry` set, routing decisions are counted under
+  /// `metrics_prefix` ("<prefix>.decisions", ".results",
+  /// ".partials_truncated", ".route_changes") and every change of routing
+  /// target for a given done-mask is logged as a routing_change event.
   EddyRouter(const QuerySpec& query, std::vector<StemOperator*> stems,
              EddyOptions options, CostMeter* meter = nullptr,
-             telemetry::Telemetry* telemetry = nullptr);
-
-  /// Multi-query mode: the stems may index a *superset* of this query's
-  /// join attributes (the union over all queries sharing the state).
-  /// `position_maps[s][p]` translates this query's JAS position p of
-  /// stream s into the shared stem's JAS position. Identity when empty.
-  void set_position_maps(std::vector<std::vector<std::uint8_t>> maps) {
-    position_maps_ = std::move(maps);
-  }
+             telemetry::Telemetry* telemetry = nullptr,
+             const std::string& metrics_prefix = "eddy");
 
   /// Route an arrival that was already inserted into its own STeM as
   /// `stored`. Returns the number of complete results produced.
@@ -117,6 +108,8 @@ class EddyRouter {
 
   const QuerySpec& query_;
   std::vector<StemOperator*> stems_;
+  /// position_maps_[s][p]: the stem JAS position of this query's JAS
+  /// position p of stream s.
   std::vector<std::vector<std::uint8_t>> position_maps_;
   EddyOptions options_;
   std::unique_ptr<RoutingPolicy> policy_;

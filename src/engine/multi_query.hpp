@@ -1,40 +1,47 @@
-// Multi-query AMR processing (paper §II: "our proposed logic equally
-// applies to multiple SPJ queries"). Several SPJ queries run over the same
-// streams; each stream has ONE shared STeM state whose join attribute set
-// is the union of the attributes any query joins on, and one AMRI index
-// (or baseline) serves the union of all queries' access patterns — the
+// The engine: SPJ queries over a common set of streams, run through ONE
+// pipeline (engine/run_loop.hpp). Each stream has ONE STeM state, and each
+// query routes through its own eddy over those shared states. A single
+// query is the one-query case (engine::Executor is a thin front over it);
+// several queries (paper §II: "our proposed logic equally applies to
+// multiple SPJ queries") share every state, whose join attribute set is
+// the union of the attributes any query joins on, so one AMRI index (or
+// baseline) serves the union of all queries' access patterns — the
 // multi-query workload diversity that motivates AMRI's single versatile
 // index.
 //
-// Built on the shared run-loop core (engine/run_loop.hpp): a multi-query
-// routing sink admits arrivals against every query's WHERE selection,
-// records per-arrival accept sets, and routes each query's sub-array
-// through that query's eddy. Multi-query runs therefore inherit the full
-// single-query feature matrix — sharded states, the batched pipeline,
-// telemetry (per-query labeled metrics, trace spans, profiler phases,
-// per-query sample deltas) and the guardrailed tuner.
-// Each query gets its own assessor set on the shared STeM
+// With several queries, each gets its own assessor set on the shared STeM
 // (StemOptions::queries); tuning epochs merge the per-query snapshots so
 // ONE shared tuner scores candidate ICs against the union workload, with
-// per-query request shares attached to every decision.
+// per-query request shares attached to every decision, and every sample
+// carries per-query output deltas. A one-query run is exactly the
+// single-query engine: the query's own JAS order, its initial config
+// (a width mismatch falls back to IndexConfig::zero in the STeM), the
+// plain `eddy.*` metric names and no per-query sample fields.
 //
-// Constraints (checked, std::invalid_argument): all queries span the same
-// stream universe and share the window length (the paper's
-// default-window-length template), and at most 64 queries share an
-// executor (accept sets are bitmasks).
+// Constraints (checked, std::invalid_argument, every build): all queries
+// span the same stream universe and share the window length (the paper's
+// default-window-length template), at most 64 queries share an executor
+// (accept sets are bitmasks), `sample_every` is positive and `duration`
+// and `warmup` are not negative.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "engine/executor.hpp"
+#include "engine/eddy.hpp"
+#include "engine/metrics.hpp"
+#include "engine/query.hpp"
+#include "engine/run_loop.hpp"
+#include "engine/stem.hpp"
+#include "engine/tuple_source.hpp"
 
 namespace amri::engine {
 
 struct MultiRunResult {
-  /// Totals across queries. Every sample additionally carries the
-  /// per-query output deltas (Sample::per_query_outputs), so dashboards
-  /// can plot each query's throughput curve from one run.
+  /// Totals across queries. With several queries every sample
+  /// additionally carries the per-query output deltas
+  /// (Sample::per_query_outputs), so dashboards can plot each query's
+  /// throughput curve from one run.
   RunResult combined;
   std::vector<std::uint64_t> per_query_outputs;  ///< measured-phase, by query
 };
@@ -43,14 +50,16 @@ class MultiQueryExecutor {
  public:
   /// `queries` must all reference the same streams (ids and schemas) and
   /// window. The ExecutorOptions are applied to the shared states. Throws
-  /// std::invalid_argument for no queries, more than 64, or mismatched
-  /// stream counts or windows.
+  /// std::invalid_argument for no queries, more than 64, mismatched
+  /// stream counts or windows, or invalid run lengths (see above).
   MultiQueryExecutor(std::vector<QuerySpec> queries, ExecutorOptions options);
 
   // Eddies hold references into queries_: not copyable or movable.
   MultiQueryExecutor(const MultiQueryExecutor&) = delete;
   MultiQueryExecutor& operator=(const MultiQueryExecutor&) = delete;
 
+  /// Consume `source` until the measured duration elapses, the source is
+  /// exhausted, or the memory budget is exceeded.
   MultiRunResult run(TupleSource& source);
 
   const std::vector<std::unique_ptr<StemOperator>>& stems() const {
@@ -65,7 +74,7 @@ class MultiQueryExecutor {
 
   /// The shared (union) join attribute set of stream `s`.
   const index::JoinAttributeSet& shared_jas(StreamId s) const {
-    return shared_layouts_[s].jas;
+    return stems_[s]->layout().jas;
   }
 
  private:
@@ -75,7 +84,6 @@ class MultiQueryExecutor {
   /// Constructed before stems_ — its construction finalises options_
   /// (fan-out pool) and its pool must outlive every stem probe path.
   PipelineRuntime rt_;
-  std::vector<StateLayout> shared_layouts_;  ///< union JAS per stream
   std::vector<std::unique_ptr<StemOperator>> stems_;
   std::vector<std::unique_ptr<EddyRouter>> eddies_;  ///< one per query
 };

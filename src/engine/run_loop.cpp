@@ -4,14 +4,127 @@
 #include <chrono>
 #include <deque>
 #include <optional>
+#include <utility>
 
 #include "common/tuple_batch.hpp"
-#include "engine/executor.hpp"
-#include "engine/stem.hpp"
 #include "engine/tuple_source.hpp"
 #include "telemetry/json.hpp"
 
 namespace amri::engine {
+
+namespace {
+
+// The query half of the run loop: WHERE admission and eddy routing.
+// Admission evaluates EVERY query's selection in query order (each one
+// charged — every query logically inspects every arrival on its streams)
+// and records the accept set as a per-slot bitmask; an arrival enters the
+// shared state if any query accepts it. Routing walks the queries in
+// order: each query's accepted sub-array is carved out of the run's
+// admitted slots and routed as one call (a one-arrival run routes
+// depth-first). Before a query routes, its index is installed as the
+// active attribution target on every shared STeM so probe statistics land
+// in that query's assessor cells. on_result fires for every complete join
+// result (warm-up included); rows are collected after the warm-up only.
+class QuerySink {
+ public:
+  QuerySink(const std::vector<QuerySpec>& queries,
+            const std::vector<std::unique_ptr<EddyRouter>>& eddies,
+            const std::vector<std::unique_ptr<StemOperator>>& stems,
+            const ExecutorOptions& options)
+      : queries_(queries),
+        eddies_(eddies),
+        stems_(stems),
+        options_(options),
+        per_query_(queries.size(), 0) {}
+
+  /// WHERE admission for `arrival`, charging selection comparisons to
+  /// `meter`. Returns true when any query accepts it; the accept set is
+  /// recorded for the live batch slot.
+  bool admit(const Tuple& arrival, CostMeter& meter) {
+    std::uint64_t mask = 0;
+    for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
+      if (queries_[qi].selection(arrival.stream).matches(arrival, &meter)) {
+        mask |= std::uint64_t{1} << qi;
+      }
+    }
+    if (mask == 0) return false;
+    accepts_.push_back(mask);
+    return true;
+  }
+
+  /// A new admission batch starts: forget the previous batch's accepts.
+  void begin_batch() { accepts_.clear(); }
+
+  /// Route the admitted same-stream batch slots [first, first + n):
+  /// `stored[j]` / `done[j]` describe slot first + j. `span_root`, when
+  /// not EddyRouter::kNoSpanRoot, is the index in [0, n) carrying the
+  /// active trace span. `measured` is true after the warm-up boundary
+  /// (row collection). Returns complete results produced.
+  std::uint64_t route_batch(const Tuple* const* stored,
+                            const std::uint32_t* done, std::size_t first,
+                            std::size_t n, std::size_t span_root,
+                            bool measured) {
+    std::uint64_t total = 0;
+    for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
+      // Carve query qi's sub-array out of the admitted slots; matches held
+      // for other queries only are rejected by qi's selection
+      // re-verification.
+      sub_stored_.clear();
+      sub_done_.clear();
+      std::size_t sub_root = EddyRouter::kNoSpanRoot;
+      for (std::size_t j = 0; j < n; ++j) {
+        if ((accepts_[first + j] >> qi & 1) == 0) continue;
+        if (j == span_root) sub_root = sub_stored_.size();
+        sub_stored_.push_back(stored[j]);
+        sub_done_.push_back(done[j]);
+      }
+      if (sub_stored_.empty()) continue;
+      for (const auto& stem : stems_) stem->set_active_query(qi);
+      const bool want_rows = options_.collect_rows && measured &&
+                             rows_.size() < options_.max_collected_rows;
+      const bool want_sink = want_rows || options_.on_result != nullptr;
+      result_sink_.clear();
+      const std::uint64_t produced = eddies_[qi]->route_batch(
+          sub_stored_.data(), sub_done_.data(), sub_stored_.size(),
+          want_sink ? &result_sink_ : nullptr, sub_root);
+      for (const JoinResult& jr : result_sink_) {
+        if (options_.on_result) options_.on_result(jr);
+        if (want_rows && rows_.size() < options_.max_collected_rows) {
+          rows_.push_back(queries_[qi].projection().apply(jr.members));
+        }
+      }
+      total += produced;
+      per_query_[qi] += produced;
+    }
+    return total;
+  }
+
+  /// Cumulative outputs by query.
+  const std::vector<std::uint64_t>& per_query_outputs() const {
+    return per_query_;
+  }
+
+  std::vector<SmallVector<Value, kInlineAttrs>> take_rows() {
+    return std::move(rows_);
+  }
+
+ private:
+  const std::vector<QuerySpec>& queries_;
+  const std::vector<std::unique_ptr<EddyRouter>>& eddies_;
+  const std::vector<std::unique_ptr<StemOperator>>& stems_;
+  const ExecutorOptions& options_;
+  /// Accept bitmask per admitted slot of the live batch (bit qi = query qi
+  /// accepted); parallel to the run loop's TupleBatch.
+  std::vector<std::uint64_t> accepts_;
+  std::vector<std::uint64_t> per_query_;  ///< cumulative outputs by query
+  // Reusable per-call arenas (capacity persists across batches).
+  std::vector<const Tuple*> sub_stored_;
+  std::vector<std::uint32_t> sub_done_;
+  std::vector<JoinResult> result_sink_;
+  std::vector<SmallVector<Value, kInlineAttrs>> rows_;
+};
+
+}  // namespace
 
 PipelineRuntime::PipelineRuntime(ExecutorOptions& options)
     : meter(&clock, options.costs), memory(options.memory_budget) {
@@ -82,7 +195,10 @@ void PipelineRuntime::emit_oom_event(telemetry::Telemetry* tel) {
 
 RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
                        const std::vector<std::unique_ptr<StemOperator>>& stems,
-                       RoutingSink& sink, TupleSource& source) {
+                       const std::vector<QuerySpec>& queries,
+                       const std::vector<std::unique_ptr<EddyRouter>>& eddies,
+                       TupleSource& source) {
+  QuerySink sink(queries, eddies, stems, options);
   RunResult result;
   const TimeMicros warmup_end = options.warmup;
   const TimeMicros measure_end = options.warmup + options.duration;
@@ -127,12 +243,11 @@ RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
   std::uint64_t arrivals_measured = 0;
   TimeMicros next_sample = warmup_end + options.sample_every;
   bool backpressure_armed = true;
-  // Per-query output attribution (multi-query sinks only): cumulative
+  // Per-query output attribution (more than one query only): cumulative
   // counts pulled from the sink, reported as deltas past the warm-up
   // offsets — the same convention as `outputs`.
-  const bool per_query = sink.wants_per_query();
-  std::vector<std::uint64_t> pq_scratch;
-  std::vector<std::uint64_t> pq_offsets;
+  const bool per_query = queries.size() > 1;
+  std::vector<std::uint64_t> pq_offsets(queries.size(), 0);
 
   if (tel != nullptr) {
     telemetry::JsonWriter w;
@@ -154,14 +269,10 @@ RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
     s.memory_bytes = rt.memory.total();
     s.backlog = pending.size();
     if (per_query) {
-      pq_scratch.clear();
-      sink.per_query_outputs(pq_scratch);
-      if (pq_offsets.size() < pq_scratch.size()) {
-        pq_offsets.resize(pq_scratch.size(), 0);
-      }
-      s.per_query_outputs.resize(pq_scratch.size());
-      for (std::size_t q = 0; q < pq_scratch.size(); ++q) {
-        s.per_query_outputs[q] = pq_scratch[q] - pq_offsets[q];
+      const std::vector<std::uint64_t>& cumulative = sink.per_query_outputs();
+      s.per_query_outputs.resize(cumulative.size());
+      for (std::size_t q = 0; q < cumulative.size(); ++q) {
+        s.per_query_outputs[q] = cumulative[q] - pq_offsets[q];
       }
     }
     if (tel != nullptr) {
@@ -227,10 +338,7 @@ RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
   auto finish_warmup = [&] {
     for (auto& stem : stems) stem->finish_warmup();
     outputs_offset = outputs_total;
-    if (per_query) {
-      pq_offsets.clear();
-      sink.per_query_outputs(pq_offsets);
-    }
+    pq_offsets = sink.per_query_outputs();
     warmup_done = true;
     take_sample(warmup_end);  // measurement-start baseline (t = 0)
   };
@@ -404,7 +512,7 @@ RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
   result.peak_memory = rt.memory.peak();
   result.charged_us = rt.meter.charged_us();
   result.routing_decisions = rt.meter.routes();
-  sink.take_rows(result.rows);
+  result.rows = sink.take_rows();
   for (const auto& stem : stems) {
     StateSummary s;
     s.stream = stem->stream();

@@ -241,7 +241,7 @@ telemetry::Histogram* StemOperator::pattern_histogram(AttrMask mask) {
 index::ProbeStats StemOperator::probe(const index::ProbeKey& key,
                                       std::vector<const Tuple*>& out) {
   index::ProbeStats stats;
-  probe_chunk(&key, 1, &out, &stats);
+  probe_batch(&key, 1, &out, &stats);
   return stats;
 }
 

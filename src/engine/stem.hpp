@@ -58,8 +58,8 @@ struct StemOptions {
   /// Fan-out pool for probes that leave the sharding attribute unbound
   /// (typically owned by the executor); null runs fan-outs serially.
   ThreadPool* pool = nullptr;
-  /// Queries sharing this state (multi-query executors; bit-address
-  /// backends only). Above 1 the STeM keeps one assessor per
+  /// Queries sharing this state (the executor sets its query count;
+  /// bit-address backends only). Above 1 the STeM keeps one assessor per
   /// (query, shard) cell — set_active_query() attributes each probe to the
   /// routing query — and every tuning epoch merges the whole grid
   /// (assessment/snapshot.hpp) so one shared tuner scores candidate ICs
@@ -105,13 +105,14 @@ class StemOperator {
   void expire(TimeMicros now);
 
   /// Multi-query mode (StemOptions::queries > 1): attribute subsequent
-  /// probes to query `qi`'s assessors. The multi-query routing sink sets
-  /// this before routing each query's partials; single-query stems never
-  /// call it (query 0 is the default attribution).
+  /// probes to query `qi`'s assessors. The run loop sets this before
+  /// routing each query's partials (query 0, the default, when there is
+  /// one query).
   void set_active_query(std::size_t qi) { active_query_ = qi; }
 
   /// Probe for matches; feeds the access pattern to the tuner (if any) and
-  /// applies due tuning decisions. Matches are appended to `out`.
+  /// applies due tuning decisions. Matches are appended to `out`. The
+  /// one-key call of probe_batch.
   index::ProbeStats probe(const index::ProbeKey& key,
                           std::vector<const Tuple*>& out);
 

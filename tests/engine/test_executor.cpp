@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <stdexcept>
 
 #include "../test_util.hpp"
 
@@ -189,6 +190,41 @@ TEST(Executor, StateSummariesPopulated) {
   EXPECT_EQ(r.states[1].stream, 1u);
   EXPECT_EQ(r.states[0].final_index, "scan");
   EXPECT_GT(r.states[0].probes + r.states[1].probes, 0u);
+}
+
+// Run lengths are checked at construction in every build: a non-positive
+// sampling period would make the run loop's sampling catch-up spin
+// forever. These only construct; nothing runs.
+TEST(Executor, RejectsInvalidRunLengths) {
+  const QuerySpec q = make_complete_join_query(2, seconds_to_micros(50));
+  auto options_with = [](void (*edit)(ExecutorOptions&)) {
+    ExecutorOptions o = base_options();
+    edit(o);
+    return o;
+  };
+  EXPECT_THROW(
+      Executor(q, options_with([](ExecutorOptions& o) { o.sample_every = 0; })),
+      std::invalid_argument);
+  EXPECT_THROW(Executor(q, options_with([](ExecutorOptions& o) {
+                 o.sample_every = -1;
+               })),
+               std::invalid_argument);
+  EXPECT_THROW(
+      Executor(q, options_with([](ExecutorOptions& o) { o.duration = -1; })),
+      std::invalid_argument);
+  EXPECT_THROW(
+      Executor(q, options_with([](ExecutorOptions& o) { o.warmup = -1; })),
+      std::invalid_argument);
+  EXPECT_THROW(MultiQueryExecutor(
+                   {q, q}, options_with([](ExecutorOptions& o) {
+                     o.sample_every = 0;
+                   })),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Executor(q, options_with([](ExecutorOptions& o) {
+                    o.duration = 0;
+                    o.warmup = 0;
+                    o.sample_every = 1;
+                  })));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "../test_util.hpp"
+#include "engine/executor.hpp"
 
 namespace amri::engine {
 namespace {
@@ -230,25 +231,6 @@ TEST_P(MultiQueryRandom, EqualsIndependentRuns) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiQueryRandom, ::testing::Range(1, 11));
-
-TEST(MultiQuery, SingleQueryDegeneratesToExecutor) {
-  std::vector<Tuple> arrivals;
-  Rng rng(11);
-  for (int i = 0; i < 300; ++i) {
-    arrivals.push_back(mk(static_cast<StreamId>(rng.below(2)), 0.1 * i,
-                          {static_cast<Value>(rng.below(4)),
-                           static_cast<Value>(rng.below(4))}));
-  }
-  auto queries = two_queries(seconds_to_micros(15));
-  queries.erase(queries.begin() + 1, queries.end());
-  ScriptedSource src1(arrivals);
-  Executor single(queries[0], zero_cost_options());
-  const auto single_r = single.run(src1);
-  ScriptedSource src2(arrivals);
-  MultiQueryExecutor multi(queries, zero_cost_options());
-  const auto multi_r = multi.run(src2);
-  EXPECT_EQ(single_r.outputs, multi_r.combined.outputs);
-}
 
 // The constructor's preconditions are checked errors in every build, not
 // debug-only assertions.

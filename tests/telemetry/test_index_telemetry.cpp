@@ -1,14 +1,19 @@
 // The index/state telemetry contract: bulk_load() must feed the same
 // instruments insert() feeds (chain-length histogram, occupancy-imbalance
-// gauge) instead of leaving them empty/stale, and the batched probe path
-// must feed its own instruments — the per-state batch-size histogram
-// (`stem.<s>.probe.batch_size`) and the sharded per-batch fan-out-width
-// histogram (`<prefix>.probe.batch.fanout_width`).
+// gauge) instead of leaving them empty/stale, and the probe path must feed
+// its own instruments — the per-state batch-size histogram
+// (`stem.<s>.probe.batch_size`, one observation per probe call, 1 for a
+// single probe) and the sharded per-batch fan-out-width histogram
+// (`<prefix>.probe.batch.fanout_width`).
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "../test_util.hpp"
+#include "engine/executor.hpp"
 #include "engine/stem.hpp"
 #include "index/bit_address_index.hpp"
 #include "index/sharded_bit_index.hpp"
@@ -197,6 +202,44 @@ TEST(IndexTelemetry, StemBatchSizeHistogramRecordsKeysPerBatch) {
   const auto* probes = tel.metrics().find_counter("stem.0.probe.count");
   ASSERT_NE(probes, nullptr);
   EXPECT_EQ(probes->value(), n);
+}
+
+// At batch size 1 every probe is a single probe() call, and each one is a
+// one-key observation of the batch-size histogram.
+TEST(IndexTelemetry, StemBatchSizeHistogramCountsSingleProbes) {
+  class Arrivals final : public engine::TupleSource {
+   public:
+    std::optional<Tuple> next() override {
+      if (i_ == 400) return std::nullopt;
+      const auto i = static_cast<Value>(i_++);
+      return testutil::make_tuple({i % 7, i % 5}, static_cast<TupleSeq>(i),
+                                  seconds_to_micros(0.05 * i),
+                                  static_cast<StreamId>(i % 3));
+    }
+
+   private:
+    std::size_t i_ = 0;
+  };
+  telemetry::Telemetry tel;
+  engine::ExecutorOptions o;
+  o.duration = seconds_to_micros(30);
+  o.stem.backend = engine::IndexBackend::kAmri;
+  o.telemetry = &tel;
+  engine::Executor ex(
+      engine::make_complete_join_query(3, seconds_to_micros(5)), o);
+  Arrivals source;
+  ex.run(source);
+
+  for (std::size_t s = 0; s < 3; ++s) {
+    const std::string prefix = "stem." + std::to_string(s) + ".probe.";
+    const auto* hist = tel.metrics().find_histogram(prefix + "batch_size");
+    const auto* probes = tel.metrics().find_counter(prefix + "count");
+    ASSERT_NE(hist, nullptr) << s;
+    ASSERT_NE(probes, nullptr) << s;
+    EXPECT_GT(probes->value(), 0u) << s;
+    EXPECT_EQ(hist->count(), probes->value()) << s;
+    EXPECT_DOUBLE_EQ(hist->max_observed(), 1.0) << s;
+  }
 }
 
 }  // namespace
