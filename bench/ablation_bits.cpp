@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     EvalParams p = params;
     p.bit_budget = bits;
     const auto scenario = make_scenario(p);
-    const auto r = run_method(scenario, p, method);
+    const auto r = run_method(scenario, p, method, "ablation_bits");
     std::uint64_t migrations = 0;
     for (const auto& s : r.states) migrations += s.migrations;
     table.add_row({TablePrinter::fmt_int(bits),

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
       p.epsilon = eps;
       p.theta = theta;
       const auto scenario = make_scenario(p);
-      const auto r = run_method(scenario, p, method);
+      const auto r = run_method(scenario, p, method, "ablation_epsilon");
       std::uint64_t migrations = 0;
       for (const auto& s : r.states) migrations += s.migrations;
       table.add_row(

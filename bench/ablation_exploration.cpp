@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     EvalParams p = params;
     p.exploration_rate = rate;
     const auto scenario = make_scenario(p);
-    const auto r = run_method(scenario, p, method);
+    const auto r = run_method(scenario, p, method, "ablation_exploration");
     std::uint64_t migrations = 0;
     for (const auto& s : r.states) migrations += s.migrations;
     table.add_row({TablePrinter::fmt(rate, 2),

@@ -4,8 +4,10 @@
 #pragma once
 
 #include <cctype>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -166,14 +168,22 @@ inline engine::ExecutorOptions make_executor_options(
 
 /// Run one method over the shared scenario. With `telemetry` set the run is
 /// fully instrumented (events + metrics land in the handle for export).
+/// Options the executor rejects end the process: "<bench>: <reason>" on
+/// stderr, exit status 1.
 inline engine::RunResult run_method(const workload::Scenario& sc,
                                     const EvalParams& p, const MethodSpec& m,
+                                    const char* bench,
                                     telemetry::Telemetry* telemetry = nullptr) {
   auto eopts = make_executor_options(sc, p, m);
   eopts.telemetry = telemetry;
-  engine::Executor ex(sc.query(), eopts);
-  const auto src = sc.make_source();
-  return ex.run(*src);
+  try {
+    engine::Executor ex(sc.query(), eopts);
+    const auto src = sc.make_source();
+    return ex.run(*src);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << bench << ": " << e.what() << "\n";
+    std::exit(1);
+  }
 }
 
 /// If the config carries trace_out=<prefix> (or --trace-out <prefix>),

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       // Trace only the first seed: one JSONL file per method.
       const bool tracing = s == 0 && cfg.has("trace_out");
       telemetry::Telemetry telemetry;
-      auto r = run_method(scenario, p, methods[i],
+      auto r = run_method(scenario, p, methods[i], "fig6_assessment",
                           tracing ? &telemetry : nullptr);
       if (tracing) maybe_write_trace(cfg, telemetry, methods[i].label);
       std::cerr << "[fig6] seed=" << p.seed << " " << methods[i].label

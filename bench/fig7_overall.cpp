@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   std::vector<engine::RunResult> results;
   for (const auto& m : methods) {
     telemetry::Telemetry telemetry;
-    results.push_back(run_method(scenario, params, m,
+    results.push_back(run_method(scenario, params, m, "fig7_overall",
                                  tracing ? &telemetry : nullptr));
     if (tracing) maybe_write_trace(cfg, telemetry, m.label);
     std::cerr << "[fig7] " << m.label << ": outputs="

@@ -87,10 +87,6 @@ class AggregateSink {
     ++consumed_;
   }
 
-  void consume_all(const std::vector<JoinResult>& results) {
-    for (const JoinResult& r : results) consume(r);
-  }
-
   std::uint64_t consumed() const { return consumed_; }
   std::size_t group_count() const { return groups_.size(); }
   const std::map<Value, AggState>& groups() const { return groups_; }

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -31,9 +32,7 @@ struct EddyOptions {
   std::size_t max_partials_per_arrival = 1u << 20;
   /// A routing decision for a given done-mask is reused for the next
   /// `decision_reuse - 1` partials with the same mask, amortising the
-  /// per-decision cost. (Renamed from `batch_size` so the executor-level
-  /// `--batch-size` — how many arrivals move through the pipeline together
-  /// — is unambiguous; this knob only caches the policy choice.)
+  /// per-decision cost.
   std::size_t decision_reuse = 1;
 };
 
@@ -41,6 +40,10 @@ struct EddyOptions {
 struct JoinResult {
   SmallVector<const Tuple*, 8> members;  ///< indexed by StreamId
 };
+
+/// Receives each complete join result as the eddy produces it. The router
+/// reuses one JoinResult: the reference is valid only during the call.
+using ResultCallback = std::function<void(const JoinResult&)>;
 
 class EddyRouter {
  public:
@@ -51,8 +54,7 @@ class EddyRouter {
   /// `stems[s]` must be the STeM of stream s. A stem may index a
   /// *superset* of this query's join attributes (the union over all
   /// queries sharing the state); probe keys are laid out in the stem's JAS
-  /// order. Optional `sink` collects complete results (null = count only).
-  /// With `telemetry` set, routing decisions are counted under
+  /// order. With `telemetry` set, routing decisions are counted under
   /// `metrics_prefix` ("<prefix>.decisions", ".results",
   /// ".partials_truncated", ".route_changes") and every change of routing
   /// target for a given done-mask is logged as a routing_change event.
@@ -62,34 +64,26 @@ class EddyRouter {
              const std::string& metrics_prefix = "eddy");
 
   /// Route an arrival that was already inserted into its own STeM as
-  /// `stored`. Returns the number of complete results produced.
+  /// `stored`, depth first. Returns the number of complete results; a
+  /// non-null `sink` (which must be callable) receives each one, a final
+  /// hop's matches latest first (the order a stack would pop them).
   std::uint64_t route(const Tuple* stored,
-                      std::vector<JoinResult>* sink = nullptr);
+                      const ResultCallback* sink = nullptr);
 
-  /// Route a batch of `n` same-stream arrivals (already inserted into
-  /// their STeM; `done[i]` is arrival i's initial done-mask, normally
-  /// `1 << stream`). Processes the join expansion level by level,
-  /// partitioning each level's partials on done-mask: one routing decision
-  /// serves a whole partition (the decision cache is consumed once per
-  /// partial, so fresh-decision counts — and route charges — match n
-  /// sequential route() calls exactly for deterministic policies), and the
-  /// partition's probes go through StemOperator::probe_batch. Same-stream
-  /// is what makes this equivalent to sequential routing: no partial
-  /// rooted at stream s ever probes stream s, so every probe sees windows
-  /// that are static for the whole batch. Returns results produced.
-  /// Caveats (docs/architecture.md): stochastic policies draw once per
-  /// partition instead of once per partial, and the per-arrival truncation
-  /// valve cuts a different partial *set* (never a different count
-  /// threshold) when a join explodes mid-batch.
-  /// `span_root`, when not kNoSpanRoot, names the batch index whose
-  /// partials belong to the telemetry's active trace span: partitions
-  /// touching that arrival emit "hop" span events (and "truncate" if its
-  /// valve trips). A one-arrival batch is handed to route(), the
-  /// depth-first reference, which picks the active span up directly — so
-  /// the run loop at batch size 1 is the tuple-at-a-time schedule.
+  /// Route a batch of `n` same-stream arrivals (already inserted; `done[i]`
+  /// is arrival i's initial done-mask, normally `1 << stream`) level by
+  /// level, results in frontier order. One routing decision serves each
+  /// done-mask partition of a level, whose probes go through
+  /// StemOperator::probe_batch; fresh-decision counts match n route()
+  /// calls. Same-stream makes this equivalent to sequential routing: no
+  /// partial rooted at stream s probes stream s, so windows stay static.
+  /// Caveats in docs/architecture.md ("Level-order routing"). `span_root`,
+  /// unless kNoSpanRoot, is the batch index carrying the active trace span
+  /// ("hop", and "truncate" if its valve trips). A one-arrival batch goes
+  /// to route(), so batch size 1 is the tuple-at-a-time schedule.
   std::uint64_t route_batch(const Tuple* const* stored,
                             const std::uint32_t* done, std::size_t n,
-                            std::vector<JoinResult>* sink = nullptr,
+                            const ResultCallback* sink = nullptr,
                             std::size_t span_root = kNoSpanRoot);
 
   RoutingStatistics& statistics() { return stats_; }
@@ -103,8 +97,18 @@ class EddyRouter {
  private:
   struct Partial {
     std::uint32_t done = 0;
+    std::uint32_t root = 0;  ///< route_batch: index of the rooting arrival
     SmallVector<const Tuple*, 8> members;  ///< indexed by StreamId
   };
+  /// Next state and access pattern for `partials` partials of `done_mask`;
+  /// consumes the decision cache per partial, charges fresh decisions.
+  RoutingContext::Candidate decide(std::uint32_t done_mask,
+                                   std::uint64_t partials);
+  void bind_key(const SmallVector<const Tuple*, 8>& members, StreamId target,
+                AttrMask ap, index::ProbeKey& key) const;
+  /// The valve tripped at `processed`; a non-zero `span` logs "truncate".
+  void note_truncation(std::uint64_t span, StreamId stream,
+                       std::uint64_t processed);
 
   const QuerySpec& query_;
   std::vector<StemOperator*> stems_;
@@ -124,9 +128,11 @@ class EddyRouter {
     std::size_t remaining = 0;
   };
   std::unordered_map<std::uint32_t, CachedDecision> decision_cache_;
-  void note_decision(std::uint32_t done_mask, StreamId target,
-                     std::uint64_t count = 1);
-  // Reusable route_batch arenas (capacity persists across batches).
+  RoutingContext context_;  ///< decide()'s, refilled per decision
+  // Reusable arenas (capacity persists across calls).
+  std::vector<Partial> stack_;        ///< route()'s depth-first stack
+  JoinResult result_;                 ///< every delivered result
+  std::vector<std::size_t> grouped_;  ///< route_batch: level by partition
   std::vector<index::ProbeKey> batch_keys_;
   std::vector<std::vector<const Tuple*>> batch_outs_;
   std::vector<index::ProbeStats> batch_stats_;

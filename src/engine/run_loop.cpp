@@ -80,19 +80,23 @@ class QuerySink {
       }
       if (sub_stored_.empty()) continue;
       for (const auto& stem : stems_) stem->set_active_query(qi);
-      const bool want_rows = options_.collect_rows && measured &&
-                             rows_.size() < options_.max_collected_rows;
-      const bool want_sink = want_rows || options_.on_result != nullptr;
-      result_sink_.clear();
-      const std::uint64_t produced = eddies_[qi]->route_batch(
-          sub_stored_.data(), sub_done_.data(), sub_stored_.size(),
-          want_sink ? &result_sink_ : nullptr, sub_root);
-      for (const JoinResult& jr : result_sink_) {
-        if (options_.on_result) options_.on_result(jr);
-        if (want_rows && rows_.size() < options_.max_collected_rows) {
-          rows_.push_back(queries_[qi].projection().apply(jr.members));
-        }
+      // Results go straight to on_result; measured row collection wraps it.
+      const ResultCallback* sink =
+          options_.on_result ? &options_.on_result : nullptr;
+      ResultCallback collect;
+      if (options_.collect_rows && measured &&
+          rows_.size() < options_.max_collected_rows) {
+        collect = [this, qi](const JoinResult& jr) {
+          if (options_.on_result) options_.on_result(jr);
+          if (rows_.size() < options_.max_collected_rows) {
+            rows_.push_back(queries_[qi].projection().apply(jr.members));
+          }
+        };
+        sink = &collect;
       }
+      const std::uint64_t produced = eddies_[qi]->route_batch(
+          sub_stored_.data(), sub_done_.data(), sub_stored_.size(), sink,
+          sub_root);
       total += produced;
       per_query_[qi] += produced;
     }
@@ -120,7 +124,6 @@ class QuerySink {
   // Reusable per-call arenas (capacity persists across batches).
   std::vector<const Tuple*> sub_stored_;
   std::vector<std::uint32_t> sub_done_;
-  std::vector<JoinResult> result_sink_;
   std::vector<SmallVector<Value, kInlineAttrs>> rows_;
 };
 

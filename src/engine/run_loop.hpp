@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -46,8 +45,9 @@ struct ExecutorOptions {
   bool collect_rows = false;
   std::size_t max_collected_rows = 1000;
   /// Optional per-result callback (e.g. an AggregateSink); invoked for
-  /// every complete join result, warm-up included.
-  std::function<void(const JoinResult&)> on_result;
+  /// every complete join result, warm-up included, as it is produced. The
+  /// reference is valid only during the call (see ResultCallback).
+  ResultCallback on_result;
   /// Optional telemetry sink. When set, the executor attaches the virtual
   /// clock, threads the handle through every STeM, index, tuner, and the
   /// eddy, records run/sample/OOM/backpressure events, and fills

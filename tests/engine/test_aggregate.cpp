@@ -73,12 +73,18 @@ TEST(AggregateSink, ConsumeAllAndReset) {
   std::vector<JoinResult> results = {make_result(&a, &b),
                                      make_result(&a, &b)};
   AggregateSink sink(AggFunc::kCount, {0, 0});
-  sink.consume_all(results);
+  for (const JoinResult& r : results) sink.consume(r);
   EXPECT_EQ(sink.consumed(), 2u);
   sink.reset();
   EXPECT_EQ(sink.consumed(), 0u);
   EXPECT_EQ(sink.group_count(), 0u);
   EXPECT_DOUBLE_EQ(sink.total(), 0.0);
+  // Consuming after reset() starts the one global group afresh.
+  sink.consume(results.front());
+  EXPECT_EQ(sink.consumed(), 1u);
+  EXPECT_EQ(sink.group_count(), 1u);
+  EXPECT_DOUBLE_EQ(sink.value_of(0), 1.0);
+  EXPECT_DOUBLE_EQ(sink.total(), 1.0);
 }
 
 TEST(AggregateSink, EmptyStateValues) {

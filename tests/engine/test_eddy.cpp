@@ -21,6 +21,11 @@ StemOptions scan_backend() {
   return o;
 }
 
+/// A result callback that keeps a copy of every result in `out`.
+ResultCallback collect_into(std::vector<JoinResult>& out) {
+  return [&out](const JoinResult& jr) { out.push_back(jr); };
+}
+
 struct Rig {
   QuerySpec query;
   std::vector<std::unique_ptr<StemOperator>> stems;
@@ -42,7 +47,9 @@ struct Rig {
                        std::vector<JoinResult>* sink = nullptr) {
     Tuple t = testutil::make_tuple(vals, 0, ts, s);
     const Tuple* stored = stems[s]->insert(t);
-    return eddy->route(stored, sink);
+    if (sink == nullptr) return eddy->route(stored);
+    const ResultCallback keep = collect_into(*sink);
+    return eddy->route(stored, &keep);
   }
 };
 
@@ -138,14 +145,99 @@ TEST(EddyRouter, StatisticsRecordedPerStatePattern) {
   EXPECT_GT(rig.eddy->statistics().size(), 0u);
 }
 
+/// Member timestamps of each result, in emission order.
+std::vector<std::vector<TimeMicros>> member_ts(
+    const std::vector<JoinResult>& sink) {
+  std::vector<std::vector<TimeMicros>> out;
+  for (const JoinResult& jr : sink) {
+    std::vector<TimeMicros> ts;
+    for (const Tuple* m : jr.members) ts.push_back(m->ts);
+    out.push_back(std::move(ts));
+  }
+  return out;
+}
+
+/// FNV-1a over the member timestamps of every result, in emission order.
+std::uint64_t sequence_hash(const std::vector<JoinResult>& sink) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const auto& ts : member_ts(sink)) {
+    for (const TimeMicros t : ts) {
+      h ^= static_cast<std::uint64_t>(t);
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
 TEST(EddyRouter, TruncationGuardStopsExplosion) {
+  // One B arrival fans out to 100 stored A tuples. The valve admits 10
+  // partials per arrival: the root, then 9 final-hop matches in the
+  // depth-first stack's pop order (latest match first); the 10th match
+  // trips it.
   EddyOptions eo;
   eo.max_partials_per_arrival = 10;
   Rig rig(2, scan_backend(), eo);
   for (int i = 0; i < 100; ++i) rig.arrive(0, i, {1});
-  rig.arrive(1, 200, {1});
-  EXPECT_GE(rig.eddy->partials_truncated(), 1u);
-  EXPECT_LT(rig.eddy->results_produced(), 100u);
+  std::vector<JoinResult> sink;
+  EXPECT_EQ(rig.arrive(1, 200, {1}, &sink), 9u);
+  EXPECT_EQ(rig.eddy->results_produced(), 9u);
+  EXPECT_EQ(rig.eddy->partials_truncated(), 1u);
+  const std::vector<std::vector<TimeMicros>> expected = {
+      {99, 200}, {98, 200}, {97, 200}, {96, 200}, {95, 200},
+      {94, 200}, {93, 200}, {92, 200}, {91, 200}};
+  EXPECT_EQ(member_ts(sink), expected);
+}
+
+TEST(EddyRouter, TruncationGuardCutsMidFinalHop) {
+  // 3-way join over identical keys: 10 stored A and 10 stored B tuples,
+  // then three C arrivals under a 50-partial valve. Depth-first, each C
+  // arrival spends 1 + 11 * 4 partials on four full A-then-B subtrees and
+  // trips the valve inside the fifth one's final hop. Level-order, each
+  // root spends 1 + 10 partials on the first two levels and 39 on its
+  // final level's complete results.
+  EddyOptions eo;
+  eo.max_partials_per_arrival = 50;
+  Rig single(3, scan_backend(), eo);
+  Rig batched(3, scan_backend(), eo);
+  for (Rig* rig : {&single, &batched}) {
+    for (int i = 0; i < 10; ++i) rig->arrive(0, i, {1, 1});
+    for (int i = 0; i < 10; ++i) rig->arrive(1, 10 + i, {1, 1});
+    ASSERT_EQ(rig->eddy->results_produced(), 0u);
+    ASSERT_EQ(rig->eddy->partials_truncated(), 0u);
+  }
+
+  std::vector<JoinResult> single_sink;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(single.arrive(2, 100 + i, {1, 1}, &single_sink), 44u);
+  }
+  EXPECT_EQ(single.eddy->results_produced(), 132u);
+  EXPECT_EQ(single.eddy->partials_truncated(), 3u);
+  ASSERT_EQ(single_sink.size(), 132u);
+  EXPECT_EQ(member_ts(single_sink).front(),
+            (std::vector<TimeMicros>{9, 19, 100}));
+  EXPECT_EQ(member_ts(single_sink).back(),
+            (std::vector<TimeMicros>{6, 15, 102}));
+  EXPECT_EQ(sequence_hash(single_sink), 17419558370426825267ULL);
+
+  std::vector<Tuple> arrivals;
+  for (int i = 0; i < 3; ++i) {
+    arrivals.push_back(testutil::make_tuple({1, 1}, 0, 100 + i, 2));
+  }
+  std::vector<const Tuple*> stored;
+  batched.stems[2]->insert_batch(arrivals.data(), arrivals.size(), stored);
+  const std::vector<std::uint32_t> done(3, std::uint32_t{1} << 2);
+  std::vector<JoinResult> batched_sink;
+  const ResultCallback keep = collect_into(batched_sink);
+  EXPECT_EQ(batched.eddy->route_batch(stored.data(), done.data(), 3, &keep),
+            117u);
+  EXPECT_EQ(batched.eddy->results_produced(), 117u);
+  EXPECT_EQ(batched.eddy->partials_truncated(), 3u);
+  ASSERT_EQ(batched_sink.size(), 117u);
+  EXPECT_EQ(member_ts(batched_sink).front(),
+            (std::vector<TimeMicros>{0, 10, 100}));
+  EXPECT_EQ(member_ts(batched_sink).back(),
+            (std::vector<TimeMicros>{3, 18, 102}));
+  EXPECT_EQ(sequence_hash(batched_sink), 2438128081087355342ULL);
 }
 
 TEST(EddyRouter, BatchRoutingPreservesResults) {
@@ -232,12 +324,14 @@ TEST(EddyRouter, RouteBatchMatchesSequentialRouting) {
     Rig single(3, scan_backend(), eo);
     Rig batched(3, scan_backend(), eo);
     std::vector<JoinResult> single_sink, batched_sink;
+    const ResultCallback keep_single = collect_into(single_sink);
+    const ResultCallback keep_batched = collect_into(batched_sink);
     std::uint64_t single_results = 0;
     std::uint64_t batched_results = 0;
     for (const BatchRun& run : make_batch_runs(3, 120, 777)) {
       for (const Tuple& t : run.tuples) {
         single_results += single.eddy->route(
-            single.stems[run.stream]->insert(t), &single_sink);
+            single.stems[run.stream]->insert(t), &keep_single);
       }
       std::vector<const Tuple*> stored;
       std::vector<std::uint32_t> done(run.tuples.size(),
@@ -245,7 +339,7 @@ TEST(EddyRouter, RouteBatchMatchesSequentialRouting) {
       batched.stems[run.stream]->insert_batch(run.tuples.data(),
                                               run.tuples.size(), stored);
       batched_results += batched.eddy->route_batch(
-          stored.data(), done.data(), run.tuples.size(), &batched_sink);
+          stored.data(), done.data(), run.tuples.size(), &keep_batched);
     }
     EXPECT_EQ(batched_results, single_results) << "reuse " << reuse;
     EXPECT_EQ(batched_sink.size(), single_sink.size()) << "reuse " << reuse;

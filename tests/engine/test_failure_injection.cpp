@@ -102,10 +102,30 @@ TEST(FailureInjection, TruncationLimitsPartialExplosion) {
   o.duration = seconds_to_micros(60);
   o.stem.backend = IndexBackend::kScan;
   o.eddy.max_partials_per_arrival = 16;
+  // Member timestamps (ms) of every result, in on_result order.
+  std::vector<std::vector<TimeMicros>> seen;
+  o.on_result = [&seen](const JoinResult& jr) {
+    std::vector<TimeMicros> ts;
+    for (const Tuple* m : jr.members) ts.push_back(m->ts / 1000);
+    seen.push_back(std::move(ts));
+  };
   Executor ex(q, o);
   const auto r = ex.run(src);
-  EXPECT_GT(ex.eddy().partials_truncated(), 0u);
   EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.outputs, 696u);
+  EXPECT_EQ(ex.eddy().results_produced(), 696u);
+  EXPECT_EQ(ex.eddy().partials_truncated(), 49u);
+  ASSERT_EQ(seen.size(), r.outputs);
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a over the sequence
+  for (const auto& ts : seen) {
+    for (const TimeMicros t : ts) {
+      h ^= static_cast<std::uint64_t>(t);
+      h *= 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(h, 4241557260689760299ULL);
+  EXPECT_EQ(seen.front(), (std::vector<TimeMicros>{0, 100, 200}));
+  EXPECT_EQ(seen.back(), (std::vector<TimeMicros>{1800, 5800, 5900}));
 }
 
 TEST(FailureInjection, RowCollectionZeroCapKeepsCounting) {

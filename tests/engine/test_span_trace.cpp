@@ -149,6 +149,40 @@ TEST(SpanTrace, BatchedPipelineTracesSampledTuple) {
   }
 }
 
+TEST(SpanTrace, FinalHopTruncationEmitsTruncateStage) {
+  // 30 stored A tuples, then three B arrivals at one timestamp whose
+  // final hop fans out to all of them under a 10-partial valve: the root
+  // and 9 matches pass, the 10th match trips it at processed = 11. Batch
+  // size 1 routes each B depth-first (every arrival traced); batch size 8
+  // routes the three as one same-stream run whose first arrival carries
+  // the span.
+  const QuerySpec q = make_complete_join_query(2, seconds_to_micros(500));
+  std::vector<Tuple> tuples;
+  for (int i = 0; i < 30; ++i) tuples.push_back(mk(0, i + 1.0, {1}));
+  for (int i = 0; i < 3; ++i) tuples.push_back(mk(1, 40.0, {1}));
+  const std::pair<std::size_t, int> cases[] = {{1, 3}, {8, 1}};
+  for (const auto& [batch_size, truncations] : cases) {
+    telemetry::Telemetry telemetry;
+    ScriptedSource src(tuples);
+    ExecutorOptions o = traced_options(&telemetry, 1);
+    o.batch_size = batch_size;
+    o.eddy.max_partials_per_arrival = 10;
+    Executor ex(q, o);
+    const RunResult r = ex.run(src);
+    EXPECT_EQ(r.outputs, 27u) << "batch " << batch_size;
+    EXPECT_EQ(ex.eddy().partials_truncated(), 3u) << "batch " << batch_size;
+    int seen = 0;
+    for (const telemetry::Event& e : telemetry.events().snapshot()) {
+      if (e.kind != telemetry::EventKind::kSpan) continue;
+      if (json_str(e.payload, "stage") != "truncate") continue;
+      ++seen;
+      EXPECT_EQ(json_int(e.payload, "processed"), 11) << e.payload;
+      EXPECT_EQ(e.stream, 1u) << e.payload;
+    }
+    EXPECT_EQ(seen, truncations) << "batch " << batch_size;
+  }
+}
+
 /// Per-span trace skeleton: the arrival's stream plus its stage sequence
 /// restricted to the stages both pipelines emit per sampled arrival.
 /// "hop" events are excluded by design — the eddy attaches them to one
