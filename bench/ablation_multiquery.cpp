@@ -6,10 +6,10 @@
 //
 // Two measurements, both emitted as `--json` records for the committed
 // BENCH trajectory:
-//   * the queries × shards × batch grid (record names
-//     `abl_multiquery/queries:Q/shards:S/batch:B`) — multi-query runs on
-//     the unified run-loop core inherit sharding and the batched
-//     pipeline, so the full grid is one executor;
+//   * the queries × batch grid (record names
+//     `abl_multiquery/queries:Q/batch:B`) — multi-query runs on the
+//     unified run-loop core inherit the batched pipeline, so the full grid
+//     is one executor;
 //   * shared-state vs Q independent executors (record names
 //     `abl_multiquery/shared_vs_independent/queries:Q`) — the same
 //     arrivals through one MultiQueryExecutor and through Q separate
@@ -107,47 +107,39 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Multi-query scaling: shared AMRI state across Q "
                "concurrent queries ===\n\n";
-  TablePrinter table({"queries", "shards", "batch", "combined_outputs",
+  TablePrinter table({"queries", "batch", "combined_outputs",
                       "peak_mem_kib", "state0_final_ic", "migrations"});
   for (std::size_t q = 1; q <= max_queries; ++q) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-      for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
-        auto opts = make_options(q, rate, window_s, duration_s);
-        opts.stem.shards = shards;
-        opts.batch_size = batch;
-        engine::MultiQueryExecutor ex(
-            make_queries(q, seconds_to_micros(window_s)), opts);
-        TwoStreamSource src(q, rate, kTimeMax, 9 + q);
-        const auto r = ex.run(src);
-        std::uint64_t migrations = 0;
-        for (const auto& s : r.combined.states) migrations += s.migrations;
-        table.add_row(
-            {TablePrinter::fmt_int(static_cast<long long>(q)),
-             TablePrinter::fmt_int(static_cast<long long>(shards)),
-             TablePrinter::fmt_int(static_cast<long long>(batch)),
-             TablePrinter::fmt_int(static_cast<long long>(r.combined.outputs)),
-             TablePrinter::fmt(
-                 static_cast<double>(r.combined.peak_memory) / 1024.0, 1),
-             r.combined.states[0].final_index,
-             TablePrinter::fmt_int(static_cast<long long>(migrations))});
-        const std::string name =
-            "abl_multiquery/queries:" + std::to_string(q) +
-            "/shards:" + std::to_string(shards) +
-            "/batch:" + std::to_string(batch);
-        records.push_back(
-            {name, "outputs", static_cast<double>(r.combined.outputs)});
-        records.push_back({name, "peak_memory_bytes",
-                           static_cast<double>(r.combined.peak_memory)});
-        records.push_back(
-            {name, "migrations", static_cast<double>(migrations)});
-        for (std::size_t qi = 0; qi < r.per_query_outputs.size(); ++qi) {
-          records.push_back({name, "q" + std::to_string(qi) + "_outputs",
-                             static_cast<double>(r.per_query_outputs[qi])});
-        }
-        std::cerr << "[abl-mq] q=" << q << " shards=" << shards
-                  << " batch=" << batch << " outputs=" << r.combined.outputs
-                  << "\n";
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
+      auto opts = make_options(q, rate, window_s, duration_s);
+      opts.batch_size = batch;
+      engine::MultiQueryExecutor ex(
+          make_queries(q, seconds_to_micros(window_s)), opts);
+      TwoStreamSource src(q, rate, kTimeMax, 9 + q);
+      const auto r = ex.run(src);
+      std::uint64_t migrations = 0;
+      for (const auto& s : r.combined.states) migrations += s.migrations;
+      table.add_row(
+          {TablePrinter::fmt_int(static_cast<long long>(q)),
+           TablePrinter::fmt_int(static_cast<long long>(batch)),
+           TablePrinter::fmt_int(static_cast<long long>(r.combined.outputs)),
+           TablePrinter::fmt(
+               static_cast<double>(r.combined.peak_memory) / 1024.0, 1),
+           r.combined.states[0].final_index,
+           TablePrinter::fmt_int(static_cast<long long>(migrations))});
+      const std::string name = "abl_multiquery/queries:" + std::to_string(q) +
+                               "/batch:" + std::to_string(batch);
+      records.push_back(
+          {name, "outputs", static_cast<double>(r.combined.outputs)});
+      records.push_back({name, "peak_memory_bytes",
+                         static_cast<double>(r.combined.peak_memory)});
+      records.push_back({name, "migrations", static_cast<double>(migrations)});
+      for (std::size_t qi = 0; qi < r.per_query_outputs.size(); ++qi) {
+        records.push_back({name, "q" + std::to_string(qi) + "_outputs",
+                           static_cast<double>(r.per_query_outputs[qi])});
       }
+      std::cerr << "[abl-mq] q=" << q << " batch=" << batch
+                << " outputs=" << r.combined.outputs << "\n";
     }
   }
   table.print(std::cout);

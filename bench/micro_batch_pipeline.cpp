@@ -1,12 +1,10 @@
 // MICRO-BATCH-PIPELINE — the batched probe path measured on real hardware
-// with google-benchmark, sweeping batch size x shard count over probe
-// churn (the steady state: window rotation + probes). Batch = 1 is the
-// tuple-at-a-time baseline (single probe() calls); larger batches go
-// through probe_batch, which pays the per-probe dispatch work — shard
-// fan-out submit/wait and per-shard locking — once per batch instead of
-// once per tuple. The modelled cost is identical by construction (the
-// differential tests assert it); what this measures is the *wall-clock*
-// amortisation.
+// with google-benchmark, sweeping batch size over probe churn (the steady
+// state: window rotation + probes). Batch = 1 is the tuple-at-a-time
+// baseline (single probe() calls); larger batches go through
+// TupleIndex::probe_batch. The modelled cost is identical by construction
+// (the differential tests assert it); what this measures is the
+// *wall-clock* difference.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
@@ -15,8 +13,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
-#include "index/sharded_bit_index.hpp"
+#include "index/bit_address_index.hpp"
 
 namespace {
 
@@ -48,21 +45,15 @@ JoinAttributeSet jas2() { return JoinAttributeSet({0, 1}); }
 
 /// Steady-state probe churn on a full 100k-tuple window: each benchmark
 /// iteration rotates the window by `batch` tuples and answers `batch`
-/// probes that leave the sharding attribute unbound (the fan-out route —
-/// the worst case for per-probe dispatch). All index bits sit on the
+/// probes that bind only the second attribute. All index bits sit on the
 /// probed attribute, so the per-key index work is one small bucket and the
 /// dispatch overhead dominates; batch = 1 runs the plain probe() loop,
-/// batch > 1 runs one probe_batch (one ThreadPool task per shard per
-/// batch). items_per_second counts tuples, so runs are comparable across
-/// batch sizes.
+/// batch > 1 runs one probe_batch. items_per_second counts tuples, so runs
+/// are comparable across batch sizes.
 void BM_BatchPipeline_ProbeChurn(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
   const auto tuples = make_tuples(2 * kWindow, 7);
-  ThreadPool pool;
-  ShardedBitIndex idx(jas2(), IndexConfig({0, 17}), BitMapper::hashing(2),
-                      shards, /*shard_pos=*/0,
-                      shards > 1 ? &pool : nullptr);
+  BitAddressIndex idx(jas2(), IndexConfig({0, 17}), BitMapper::hashing(2));
   for (std::size_t i = 0; i < kWindow; ++i) idx.insert(tuples[i].get());
 
   Rng rng(11);
@@ -78,7 +69,7 @@ void BM_BatchPipeline_ProbeChurn(benchmark::State& state) {
       oldest = (oldest + 1) % tuples.size();
       idx.insert(tuples[next].get());
       next = (next + 1) % tuples.size();
-      keys[i].mask = 0b10;  // sharding attribute unbound -> fan out
+      keys[i].mask = 0b10;  // first attribute unbound
       keys[i].values.clear();
       keys[i].values.push_back(0);
       keys[i].values.push_back(tuples[rng.below(tuples.size())]->at(1));
@@ -100,15 +91,11 @@ void BM_BatchPipeline_ProbeChurn(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_BatchPipeline_ProbeChurn)
-    ->ArgNames({"batch", "shards"})
-    ->Args({1, 1})
-    ->Args({16, 1})
-    ->Args({64, 1})
-    ->Args({256, 1})
-    ->Args({1, 4})
-    ->Args({16, 4})
-    ->Args({64, 4})
-    ->Args({256, 4})
+    ->ArgName("batch")
+    ->Arg(1)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -7,11 +7,10 @@
 //               WHERE S.region = G.region WINDOW 20' sim_seconds=60
 //
 // Knobs (key=value): sim_seconds, rate, seed, backend=amri|bitmap|modules|
-// scan, bits, epsilon, theta, shards, batch_size, decision_reuse.
-// `--shards N` partitions each state's window and index into N parallel
-// shards (bit-address backends). `--batch-size N` moves up to N arrivals
-// through the pipeline together (vectorized probe path; 1, the default,
-// is tuple-at-a-time). `--decision-reuse N` reuses one routing decision
+// scan, bits, epsilon, theta, batch_size, decision_reuse. Each state holds
+// one index and the engine runs on one thread. `--batch-size N` moves up
+// to N arrivals through the pipeline together (1, the default, is
+// tuple-at-a-time). `--decision-reuse N` reuses one routing decision
 // per done-mask N times.
 // `--trace-out run.jsonl` attaches telemetry and
 // writes the full run trace (events + final metrics) as JSON lines.
@@ -27,7 +26,7 @@
 // multi_query scenario, implied when no scenario is named): the shared
 // index serves the union workload, the tuner merges per-query
 // assessments, and the report adds a per-query output table. All engine
-// knobs (`--shards`, `--batch-size`, `--guardrails`, …) apply unchanged
+// knobs (`--batch-size`, `--guardrails`, …) apply unchanged
 // in multi-query mode.
 // `--guardrails 1` enables the tuner's production guardrails;
 // `--tuner-deadband`, `--tuner-hysteresis-epochs`, `--tuner-horizon`,
@@ -215,7 +214,6 @@ int main(int argc, char** argv) {
   apply_guardrail_flags(cfg, topts);
   opts.stem.amri_tuner = topts;
   opts.memory_budget = cfg.size_or("memory_budget", opts.memory_budget);
-  opts.stem.shards = std::max<std::size_t>(cfg.size_or("shards", 1), 1);
   opts.batch_size = std::max<std::size_t>(cfg.size_or("batch_size", 1), 1);
   opts.eddy.decision_reuse =
       std::max<std::size_t>(cfg.size_or("decision_reuse", 1), 1);

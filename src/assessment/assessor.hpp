@@ -31,18 +31,18 @@ enum class AssessorKind : std::uint8_t {
   kCdiaHighestCount,
 };
 
-/// Mergeable dump of one assessor's retained statistics, used by sharded
-/// stems: each shard assesses the probes it served, and at tuner epochs the
-/// per-shard snapshots are merged (merge_snapshots) and thresholded
-/// (snapshot_results, see assessment/snapshot.hpp) so the tuner still sees
-/// one logical state. The kind-specific parameters travel with the data so
+/// Mergeable dump of one assessor's retained statistics, used by stems
+/// shared by several queries: each query's assessor assesses the probes
+/// routed for it, and at tuner epochs the per-query snapshots are merged
+/// (merge_snapshots) and thresholded (snapshot_results, see
+/// assessment/snapshot.hpp) so the tuner still sees one logical state. The kind-specific parameters travel with the data so
 /// the merged answer reproduces the kind's results() semantics.
 ///
 /// Merge soundness per kind: SRIA and DIA counts are exact and additive, so
 /// the merged answer equals assessing the unpartitioned request stream.
-/// CSRIA undercounts each shard substream by at most epsilon * N_shard;
-/// summed over shards that is at most epsilon * N, the same Manku–Motwani
-/// bound the unpartitioned sketch carries. CDIA conserves count mass under
+/// CSRIA undercounts each per-query substream by at most
+/// epsilon * N_query; summed over queries that is at most epsilon * N, the
+/// same Manku–Motwani bound the unpartitioned sketch carries. CDIA conserves count mass under
 /// compression, so the summed entries form a valid lattice state whose
 /// rollup is an epsilon-approximate answer for the union stream.
 struct AssessmentSnapshot {

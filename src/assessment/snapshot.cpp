@@ -65,7 +65,7 @@ std::vector<AssessedPattern> threshold_results(const AssessmentSnapshot& snap,
 }
 
 /// CDIA: the merged entries are a valid search-benefit-lattice state (each
-/// shard conserves count mass under compression), so the merged answer is
+/// per-query assessor conserves count mass under compression), so the merged answer is
 /// the same bottom-up rollup CDIA's results() applies to its own lattice.
 std::vector<AssessedPattern> rollup_results(const AssessmentSnapshot& snap,
                                             double theta) {

@@ -1,14 +1,14 @@
-// Merging per-shard assessment snapshots back into one logical answer.
+// Merging per-query assessment snapshots back into one logical answer.
 //
-// A sharded STeM runs one assessor per shard; every probe is attributed to
-// exactly one shard, so the shard substreams partition the state's request
-// stream. At tuner epochs the shards' AssessmentSnapshots are merged by
-// summing per-mask counts (and error bounds), and snapshot_results()
-// reproduces the kind's Assessor::results() semantics over the merged
-// statistics:
+// A STeM shared by several queries runs one assessor per query; every probe
+// is attributed to exactly one query, so the per-query substreams partition
+// the state's request stream. At tuner epochs the queries'
+// AssessmentSnapshots are merged by summing per-mask counts (and error
+// bounds), and snapshot_results() reproduces the kind's Assessor::results()
+// semantics over the merged statistics:
 //   * SRIA / DIA — exact additive counts: the merged answer is identical
 //     (entries, order, frequencies) to assessing the unpartitioned stream;
-//   * CSRIA — each shard undercounts by <= epsilon * N_shard, so the merged
+//   * CSRIA — each query undercounts by <= epsilon * N_query, so the merged
 //     count undercounts by <= epsilon * N: the unpartitioned Manku–Motwani
 //     bound, with the same strict-theta filter on estimated frequency;
 //   * CDIA — compression conserves count mass, so the summed entries form a
@@ -23,12 +23,12 @@ namespace amri::assessment {
 
 /// Sum `parts` into one snapshot: per-mask counts and max_errors add,
 /// observation totals add, entries stay sorted by mask. All parts must
-/// share kind / universe / epsilon (they come from sibling shards of one
-/// state). An empty `parts` yields an empty exact snapshot.
+/// share kind / universe / epsilon (they come from the per-query
+/// assessors of one state). An empty `parts` yields an empty exact snapshot.
 AssessmentSnapshot merge_snapshots(const std::vector<AssessmentSnapshot>& parts);
 
 /// Frequent patterns of a (merged) snapshot at threshold theta — the
-/// sharded analogue of Assessor::results(theta). Sorted by descending
+/// merged analogue of Assessor::results(theta). Sorted by descending
 /// count, then ascending mask, exactly like the per-kind results().
 std::vector<AssessedPattern> snapshot_results(const AssessmentSnapshot& snap,
                                               double theta);

@@ -38,7 +38,7 @@ class Config {
   std::int64_t int_or(std::string_view key, std::int64_t fallback) const;
   double double_or(std::string_view key, double fallback) const;
   bool bool_or(std::string_view key, bool fallback) const;
-  /// int_or for count-like knobs (`--shards 4`): negative values clamp
+  /// int_or for count-like knobs (`--batch-size 64`): negative values clamp
   /// to 0, so callers can treat the result as a plain std::size_t.
   std::size_t size_or(std::string_view key, std::size_t fallback) const;
 

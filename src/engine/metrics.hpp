@@ -49,10 +49,6 @@ struct StateSummary {
   double migration_pause_us = 0.0;
   /// Final logical footprint: window store plus index structure bytes.
   std::size_t state_bytes = 0;
-  /// Index shards behind this state (1 = unsharded).
-  std::size_t shards = 1;
-  /// Max/mean shard-size skew at run end (1.0 = balanced or unsharded).
-  double shard_imbalance = 1.0;
   std::string final_index;
 };
 
@@ -89,7 +85,7 @@ inline TablePrinter make_state_table(
     const std::vector<StateSummary>& states,
     const std::vector<std::string>& names = {}) {
   TablePrinter table({"state", "tuples", "probes", "migrations", "suppr",
-                      "pause_ms", "mem_kib", "shards", "skew", "final index"});
+                      "pause_ms", "mem_kib", "final index"});
   for (const StateSummary& s : states) {
     const std::string name = s.stream < names.size()
                                  ? names[s.stream]
@@ -103,8 +99,6 @@ inline TablePrinter make_state_table(
                    TablePrinter::fmt(s.migration_pause_us / 1000.0, 2),
                    TablePrinter::fmt(
                        static_cast<double>(s.state_bytes) / 1024.0, 1),
-                   TablePrinter::fmt_int(static_cast<long long>(s.shards)),
-                   TablePrinter::fmt(s.shard_imbalance, 2),
                    s.final_index});
   }
   return table;

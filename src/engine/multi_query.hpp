@@ -80,9 +80,8 @@ class MultiQueryExecutor {
  private:
   std::vector<QuerySpec> queries_;
   ExecutorOptions options_;
-  /// The shared run-loop state (clock/meter/memory/pools/instruments).
-  /// Constructed before stems_ — its construction finalises options_
-  /// (fan-out pool) and its pool must outlive every stem probe path.
+  /// The shared run-loop state (clock/meter/memory/instruments).
+  /// Constructed before stems_, which hold its meter and memory tracker.
   PipelineRuntime rt_;
   std::vector<std::unique_ptr<StemOperator>> stems_;
   std::vector<std::unique_ptr<EddyRouter>> eddies_;  ///< one per query

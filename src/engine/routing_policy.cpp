@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <limits>
+#include <vector>
 
 namespace amri::engine {
 
@@ -74,27 +75,30 @@ class LotteryPolicy final : public RoutingPolicy {
     }
     // Tickets inversely proportional to observed fan-out (low selectivity
     // first, the classic eddy lottery).
-    std::vector<double> tickets(ctx.candidates.size());
+    tickets_.resize(ctx.candidates.size());
     double total = 0.0;
     for (std::size_t i = 0; i < ctx.candidates.size(); ++i) {
       const auto& c = ctx.candidates[i];
       const RouteStats* rs = stats.find(c.state, c.pattern);
       const double fanout = rs == nullptr ? 1.0 : rs->matches.value_or(1.0);
-      tickets[i] = 1.0 / (0.1 + fanout);
-      total += tickets[i];
+      tickets_[i] = 1.0 / (0.1 + fanout);
+      total += tickets_[i];
     }
     double draw = rng_.uniform01() * total;
-    for (std::size_t i = 0; i < tickets.size(); ++i) {
-      draw -= tickets[i];
+    for (std::size_t i = 0; i < tickets_.size(); ++i) {
+      draw -= tickets_[i];
       if (draw <= 0.0) return i;
     }
-    return tickets.size() - 1;
+    return tickets_.size() - 1;
   }
   std::string name() const override { return "lottery"; }
 
  private:
   double exploration_;
   Rng rng_;
+  /// Ticket buffer reused across decisions (capacity persists), so a
+  /// decision allocates nothing once it has seen its widest candidate set.
+  std::vector<double> tickets_;
 };
 
 }  // namespace

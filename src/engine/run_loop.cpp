@@ -129,16 +129,10 @@ class QuerySink {
 
 }  // namespace
 
-PipelineRuntime::PipelineRuntime(ExecutorOptions& options)
+PipelineRuntime::PipelineRuntime(const ExecutorOptions& options)
     : meter(&clock, options.costs), memory(options.memory_budget) {
   if (options.telemetry != nullptr) {
     options.telemetry->attach_clock(&clock);
-  }
-  if (options.stem.shards > 1) {
-    pool = std::make_unique<ThreadPool>(options.fanout_threads);
-    options.stem.pool = pool.get();
-  }
-  if (options.telemetry != nullptr) {
     auto& reg = options.telemetry->metrics();
     profiler = options.telemetry->profiler();
     if (profiler != nullptr) {
@@ -148,18 +142,6 @@ PipelineRuntime::PipelineRuntime(ExecutorOptions& options)
       span_latency_hist = &reg.histogram(
           "span.latency_us",
           telemetry::Histogram::exponential_bounds(0.5, 2.0, 22));
-    }
-    if (pool != nullptr) {
-      // The pool lives in the common layer and cannot depend on telemetry,
-      // so its generic hooks are bound to registry instruments here.
-      auto* wait_hist = &reg.histogram(
-          "pool.queue_wait_us",
-          telemetry::Histogram::exponential_bounds(0.1, 2.0, 20));
-      auto* contention = &reg.counter("pool.contention");
-      ThreadPool::Hooks hooks;
-      hooks.on_dequeue = [wait_hist](double us) { wait_hist->observe(us); };
-      hooks.on_contention = [contention] { contention->add(); };
-      pool->set_hooks(std::move(hooks));
     }
   }
 }
@@ -209,7 +191,7 @@ RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
   const auto run_wall_t0 = std::chrono::steady_clock::now();
 
   // Span sampling: every trace_sample-th drained arrival gets a span id
-  // that downstream producers (eddy hops, sharded fan-out) pick up via
+  // that downstream producers (eddy hops, STeM probes) pick up via
   // Telemetry::active_span().
   const std::size_t trace_sample = tel != nullptr ? options.trace_sample : 0;
   std::uint64_t drained_arrivals = 0;
@@ -525,8 +507,6 @@ RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
     s.suppressed = stem->suppressed();
     s.migration_pause_us = stem->migration_pause_us();
     s.state_bytes = stem->state_bytes();
-    s.shards = stem->shard_count();
-    s.shard_imbalance = stem->shard_imbalance();
     s.final_index = stem->physical_index().name();
     result.states.push_back(std::move(s));
   }

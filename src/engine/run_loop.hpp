@@ -8,8 +8,7 @@
 //
 // ExecutorOptions lives here because the run loop consumes most of it;
 // PipelineRuntime bundles the engine-neutral run state (virtual clock,
-// cost meter, memory tracker, fan-out pool, resolved telemetry
-// instruments).
+// cost meter, memory tracker, resolved telemetry instruments).
 #pragma once
 
 #include <cstdint>
@@ -18,7 +17,6 @@
 
 #include "common/cost_meter.hpp"
 #include "common/memory_tracker.hpp"
-#include "common/thread_pool.hpp"
 #include "common/tuple.hpp"
 #include "common/virtual_clock.hpp"
 #include "engine/eddy.hpp"
@@ -59,13 +57,10 @@ struct ExecutorOptions {
   std::size_t backpressure_threshold = 10000;
   /// Sample every Nth drained arrival into an end-to-end trace span
   /// (`--trace-sample`): span stage events flow from source drain through
-  /// eddy routing hops, STeM probes and sharded fan-out to result emission
-  /// or truncation, carrying both the virtual clock and steady-clock
-  /// nanoseconds. 0 (the default) disables sampling. Requires `telemetry`.
+  /// eddy routing hops and STeM probes to result emission or truncation,
+  /// carrying both the virtual clock and steady-clock nanoseconds. 0 (the
+  /// default) disables sampling. Requires `telemetry`.
   std::size_t trace_sample = 0;
-  /// Worker threads for sharded fan-out probes (stem.shards > 1 only).
-  /// 0 picks hardware_concurrency; ignored when the stems are unsharded.
-  std::size_t fanout_threads = 0;
   /// Arrivals moved through the pipeline together (`--batch-size`): the
   /// executor drains up to this many ready arrivals into a TupleBatch,
   /// expires every window once, then batch-inserts and batch-routes each
@@ -86,12 +81,11 @@ struct ExecutorOptions {
 /// PipelineRuntime::sync_queue_memory.
 inline constexpr std::size_t kQueueBytesPerTuple = sizeof(Tuple) + 16;
 
-/// Engine-neutral run state: clock, meter, memory, fan-out pool, and the
-/// telemetry instruments the run loop records into. Construction creates
-/// the fan-out pool for sharded stems and hands it to `options.stem`.
+/// Engine-neutral run state: clock, meter, memory, and the telemetry
+/// instruments the run loop records into.
 class PipelineRuntime {
  public:
-  explicit PipelineRuntime(ExecutorOptions& options);
+  explicit PipelineRuntime(const ExecutorOptions& options);
 
   PipelineRuntime(const PipelineRuntime&) = delete;
   PipelineRuntime& operator=(const PipelineRuntime&) = delete;
@@ -99,9 +93,6 @@ class PipelineRuntime {
   VirtualClock clock;
   CostMeter meter;
   MemoryTracker memory;
-  /// Shared fan-out pool, created only when the stems are sharded.
-  /// Declared before any stems so it outlives every probe path.
-  std::unique_ptr<ThreadPool> pool;
   /// Observability handles, resolved once at construction (null detached).
   telemetry::Profiler* profiler = nullptr;
   telemetry::Histogram* span_latency_hist = nullptr;  ///< span.latency_us

@@ -1,6 +1,5 @@
 #include "engine/stem.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <string>
 #include <utility>
@@ -46,62 +45,29 @@ StemOperator::StemOperator(StreamId stream, const StateLayout& layout,
                                   : index::IndexConfig::zero(n);
       const tuner::TunerOptions topts =
           options_.amri_tuner.value_or(tuner::TunerOptions{});
-      if (options_.shards > 1) {
-        const std::size_t spos =
-            options_.shard_attr < n ? options_.shard_attr : 0;
-        auto idx = std::make_unique<index::ShardedBitIndex>(
-            layout_.jas, std::move(ic), std::move(mapper), options_.shards,
-            spos, options_.pool, meter_, memory_);
-        sharded_index_ = idx.get();
-        index_ = std::move(idx);
-        if (telemetry_ != nullptr) {
-          sharded_index_->bind_telemetry(
-              telemetry_, "stem." + std::to_string(stream_) + ".index",
-              stream_);
-        }
-      } else {
-        auto idx = std::make_unique<index::BitAddressIndex>(
-            layout_.jas, std::move(ic), std::move(mapper), meter_, memory_);
-        bit_index_ = idx.get();
-        index_ = std::move(idx);
-        if (telemetry_ != nullptr) {
-          bit_index_->bind_telemetry(
-              telemetry_, "stem." + std::to_string(stream_) + ".index");
-        }
+      auto idx = std::make_unique<index::BitAddressIndex>(
+          layout_.jas, std::move(ic), std::move(mapper), meter_, memory_);
+      bit_index_ = idx.get();
+      index_ = std::move(idx);
+      if (telemetry_ != nullptr) {
+        bit_index_->bind_telemetry(
+            telemetry_, "stem." + std::to_string(stream_) + ".index");
       }
-      // Sharded and/or multi-query states keep an external assessor grid
-      // (query-major: one cell per query × shard), merged at tuning epochs
-      // so index selection still sees the one logical request stream.
-      shard_slots_ = options_.shards > 1 ? options_.shards : 1;
-      if (options_.shards > 1 || options_.queries > 1) {
-        const std::size_t queries = std::max<std::size_t>(options_.queries, 1);
-        shard_assessors_.reserve(queries * shard_slots_);
-        for (std::size_t q = 0; q < queries; ++q) {
-          for (std::size_t i = 0; i < shard_slots_; ++i) {
-            shard_assessors_.push_back(assessment::make_assessor(
-                topts.assessor, layout_.jas.universe(), topts.assessor_params));
+      // Multi-query states keep one external assessor per query, merged at
+      // tuning epochs so index selection still sees the one logical
+      // request stream.
+      if (options_.queries > 1) {
+        query_assessors_.reserve(options_.queries);
+        for (std::size_t q = 0; q < options_.queries; ++q) {
+          query_assessors_.push_back(assessment::make_assessor(
+              topts.assessor, layout_.jas.universe(), topts.assessor_params));
+          if (telemetry_ != nullptr) {
+            query_assessors_.back()->bind_telemetry(
+                telemetry_, "stem." + std::to_string(stream_) + ".q" +
+                                std::to_string(q) + ".assess");
           }
         }
-        if (options_.queries > 1) {
-          epoch_query_requests_.assign(options_.queries, 0);
-        }
-        if (telemetry_ != nullptr) {
-          const std::string prefix = "stem." + std::to_string(stream_);
-          for (std::size_t q = 0; q < queries; ++q) {
-            // Single-query sharded grids keep the legacy
-            // "stem.N.shard.I.assess" names; multi-query cells are
-            // per-query labeled.
-            const std::string qpart =
-                options_.queries > 1 ? ".q" + std::to_string(q) : "";
-            for (std::size_t i = 0; i < shard_slots_; ++i) {
-              const std::string spart = options_.shards > 1
-                                            ? ".shard." + std::to_string(i)
-                                            : "";
-              shard_assessors_[q * shard_slots_ + i]->bind_telemetry(
-                  telemetry_, prefix + qpart + spart + ".assess");
-            }
-          }
-        }
+        epoch_query_requests_.assign(options_.queries, 0);
       }
       // Static backends also carry a tuner so the warm-up phase can train
       // their starting configuration; finish_warmup() drops it.
@@ -156,7 +122,7 @@ StemOperator::~StemOperator() {
 void StemOperator::sync_stats_memory() {
   if (memory_ == nullptr) return;
   std::size_t now = 0;
-  for (const auto& a : shard_assessors_) now += a->approx_bytes();
+  for (const auto& a : query_assessors_) now += a->approx_bytes();
   if (now > tracked_stats_bytes_) {
     memory_->allocate(MemCategory::kStatistics, now - tracked_stats_bytes_);
   } else if (now < tracked_stats_bytes_) {
@@ -219,7 +185,6 @@ void StemOperator::check_invariants() const {
                      window_store_.size() * (sizeof(Tuple) + 8),
              "tuple memory accounting is stale");
   if (bit_index_ != nullptr) bit_index_->check_invariants();
-  if (sharded_index_ != nullptr) sharded_index_->check_invariants();
 }
 
 telemetry::Histogram* StemOperator::pattern_histogram(AttrMask mask) {
@@ -281,14 +246,7 @@ void StemOperator::probe_chunk(const index::ProbeKey* keys, std::size_t n,
       (telemetry_ != nullptr && meter_ != nullptr) ? meter_->charged_us() : 0.0;
   {
     telemetry::ScopedPhase probe_scope(profiler_, telemetry::Phase::kProbe);
-    // A single key takes the single-probe path, so probe() keeps
-    // ShardedBitIndex's per-probe fan-out telemetry instead of recording
-    // a one-key batch dispatch.
-    if (n == 1) {
-      stats[0] = index_->probe(keys[0], outs[0]);
-    } else {
-      index_->probe_batch(keys, n, outs, stats);
-    }
+    index_->probe_batch(keys, n, outs, stats);
   }
   if (telemetry_ != nullptr) {
     probe_counter_->add(n);
@@ -309,43 +267,30 @@ void StemOperator::probe_chunk(const index::ProbeKey* keys, std::size_t n,
     }
   }
   if (amri_tuner_ == nullptr && module_tuner_ == nullptr) return;
-  // One weighted observe per (grid slot, access pattern) group, in first
-  // appearance order, so the assessments match n single probes
-  // bit-for-bit for the additive assessors. The grid slot is the active
-  // query's row plus the shard that served the request; fan-outs touch
-  // every shard, so they round-robin deterministically (the merged
-  // assessment is shard-attribution-invariant anyway). Without a grid the
-  // slot is constant and the groups are the chunk's access patterns.
+  // One weighted observe per access pattern, in first appearance order,
+  // so the assessments match n single probes bit-for-bit for the additive
+  // assessors.
   struct Obs {
-    std::size_t slot;
     AttrMask mask;
     std::uint64_t weight;
   };
   SmallVector<Obs, 16> groups;
-  const std::size_t row = active_query_ * shard_slots_;
   for (std::size_t i = 0; i < n; ++i) {
-    std::size_t slot = row;
-    if (sharded_index_ != nullptr) {
-      const std::size_t target = sharded_index_->target_shard(keys[i]);
-      slot += target < shard_slots_ ? target : fanout_rr_++ % shard_slots_;
-    }
     bool found = false;
     for (Obs& o : groups) {
-      if (o.slot == slot && o.mask == keys[i].mask) {
+      if (o.mask == keys[i].mask) {
         ++o.weight;
         found = true;
         break;
       }
     }
-    if (!found) groups.push_back(Obs{slot, keys[i].mask, 1});
+    if (!found) groups.push_back(Obs{keys[i].mask, 1});
   }
-  if (amri_tuner_ != nullptr && !shard_assessors_.empty()) {
+  if (amri_tuner_ != nullptr && !query_assessors_.empty()) {
     for (const Obs& o : groups) {
-      shard_assessors_[o.slot]->observe(o.mask, o.weight);
+      query_assessors_[active_query_]->observe(o.mask, o.weight);
     }
-    if (!epoch_query_requests_.empty()) {
-      epoch_query_requests_[active_query_] += n;
-    }
+    epoch_query_requests_[active_query_] += n;
     amri_tuner_->note_request(n);
     sync_stats_memory();
     if (continuous_tuning_ && amri_tuner_->tuning_due()) {
@@ -373,48 +318,42 @@ void StemOperator::probe_chunk(const index::ProbeKey* keys, std::size_t n,
 }
 
 void StemOperator::merged_tune() {
-  assert(!shard_assessors_.empty() && amri_tuner_ != nullptr);
-  assert(sharded_index_ != nullptr || bit_index_ != nullptr);
+  assert(!query_assessors_.empty() && amri_tuner_ != nullptr);
+  assert(bit_index_ != nullptr);
   telemetry::ScopedPhase tune_scope(profiler_, telemetry::Phase::kTunerEpoch);
   tuner::ExternalAssessment external;
   {
     telemetry::ScopedPhase merge_scope(profiler_,
                                        telemetry::Phase::kSnapshotMerge);
     std::vector<assessment::AssessmentSnapshot> parts;
-    parts.reserve(shard_assessors_.size());
-    for (const auto& a : shard_assessors_) parts.push_back(a->snapshot());
+    parts.reserve(query_assessors_.size());
+    for (const auto& a : query_assessors_) parts.push_back(a->snapshot());
     const auto merged = assessment::merge_snapshots(parts);
     external.frequent =
         assessment::snapshot_results(merged, amri_tuner_->options().theta);
     external.table_size = merged.entries.size();
-    for (const auto& a : shard_assessors_) {
+    for (const auto& a : query_assessors_) {
       external.approx_bytes += a->approx_bytes();
     }
   }
-  if (!epoch_query_requests_.empty()) {
-    // Per-query attribution for the decision timeline, then roll the epoch.
-    for (std::size_t q = 0; q < epoch_query_requests_.size(); ++q) {
-      external.per_query.push_back(
-          tuner::QueryShare{q, epoch_query_requests_[q]});
-      epoch_query_requests_[q] = 0;
-    }
+  // Per-query attribution for the decision timeline, then roll the epoch.
+  for (std::size_t q = 0; q < epoch_query_requests_.size(); ++q) {
+    external.per_query.push_back(
+        tuner::QueryShare{q, epoch_query_requests_[q]});
+    epoch_query_requests_[q] = 0;
   }
-  if (sharded_index_ != nullptr) {
-    amri_tuner_->maybe_tune_sharded(*sharded_index_, external);
-  } else {
-    amri_tuner_->maybe_tune_external(*bit_index_, external);
-  }
+  amri_tuner_->maybe_tune_external(*bit_index_, external);
 
   // Statistics retention, mirrored from AmriTuner::recommend() onto the
-  // per-shard assessors this stem owns.
+  // per-query assessors this stem owns.
   switch (amri_tuner_->options().retention) {
     case tuner::StatsRetention::kReset:
-      for (auto& a : shard_assessors_) a->reset();
+      for (auto& a : query_assessors_) a->reset();
       break;
     case tuner::StatsRetention::kKeep:
       break;
     case tuner::StatsRetention::kDecay:
-      for (auto& a : shard_assessors_) {
+      for (auto& a : query_assessors_) {
         a->decay(amri_tuner_->options().decay_factor);
       }
       break;
@@ -423,7 +362,6 @@ void StemOperator::merged_tune() {
 }
 
 const index::IndexConfig* StemOperator::current_config() const {
-  if (sharded_index_ != nullptr) return &sharded_index_->config();
   return bit_index_ != nullptr ? &bit_index_->config() : nullptr;
 }
 
@@ -445,7 +383,7 @@ std::uint64_t StemOperator::suppressed() const {
 }
 
 void StemOperator::force_tune() {
-  if (amri_tuner_ != nullptr && !shard_assessors_.empty()) {
+  if (amri_tuner_ != nullptr && !query_assessors_.empty()) {
     merged_tune();
   } else if (amri_tuner_ != nullptr && bit_index_ != nullptr) {
     amri_tuner_->maybe_tune(*bit_index_);
@@ -466,7 +404,7 @@ void StemOperator::finish_warmup() {
     if (module_tuner_ != nullptr) warmup_migrations_ = module_tuner_->retunes();
     amri_tuner_.reset();
     module_tuner_.reset();
-    shard_assessors_.clear();
+    query_assessors_.clear();
     sync_stats_memory();
   }
 }

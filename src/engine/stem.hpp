@@ -14,13 +14,11 @@
 #include "assessment/assessor.hpp"
 #include "common/cost_meter.hpp"
 #include "common/memory_tracker.hpp"
-#include "common/thread_pool.hpp"
 #include "common/tuple.hpp"
 #include "engine/query.hpp"
 #include "index/access_module_set.hpp"
 #include "index/bit_address_index.hpp"
 #include "index/scan_index.hpp"
-#include "index/sharded_bit_index.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tuner/amri_tuner.hpp"
 #include "tuner/hash_module_tuner.hpp"
@@ -48,20 +46,10 @@ struct StemOptions {
   /// For kQuantile mapping: one value sample per JAS position (e.g. from
   /// a warm-up trace). Empty samples fall back to hashing per attribute.
   std::vector<std::vector<Value>> quantile_samples;
-  /// Bit-address backends only: partition the state's window and index
-  /// into this many shards (index::ShardedBitIndex). 1 keeps the plain
-  /// single index; the module/scan backends ignore sharding.
-  std::size_t shards = 1;
-  /// JAS position whose value routes tuples/probes to their shard
-  /// (clamped to 0 when out of range).
-  std::size_t shard_attr = 0;
-  /// Fan-out pool for probes that leave the sharding attribute unbound
-  /// (typically owned by the executor); null runs fan-outs serially.
-  ThreadPool* pool = nullptr;
   /// Queries sharing this state (the executor sets its query count;
   /// bit-address backends only). Above 1 the STeM keeps one assessor per
-  /// (query, shard) cell — set_active_query() attributes each probe to the
-  /// routing query — and every tuning epoch merges the whole grid
+  /// query — set_active_query() attributes each probe to the routing
+  /// query — and every tuning epoch merges the per-query assessors
   /// (assessment/snapshot.hpp) so one shared tuner scores candidate ICs
   /// against the union workload, with per-query request shares attached to
   /// the decision. 1 (the default) keeps the single-query paths
@@ -138,18 +126,6 @@ class StemOperator {
   std::size_t stored_tuples() const { return window_store_.size(); }
   const index::TupleIndex& physical_index() const { return *index_; }
 
-  /// Number of index shards (1 for every unsharded backend).
-  std::size_t shard_count() const {
-    return sharded_index_ != nullptr ? sharded_index_->shard_count() : 1;
-  }
-
-  /// Max/mean shard-size skew (1.0 = balanced; also 1.0 when unsharded).
-  double shard_imbalance() const {
-    return sharded_index_ != nullptr && stored_tuples() > 0
-               ? sharded_index_->balance().imbalance
-               : 1.0;
-  }
-
   /// Current bit-address config (bit-address backends only).
   const index::IndexConfig* current_config() const;
 
@@ -190,18 +166,16 @@ class StemOperator {
  private:
   void sync_tuple_memory();
   void sync_stats_memory();
-  /// The one probe body: index probe of a tuner-boundary-free chunk (a
-  /// single key goes through TupleIndex::probe), probe telemetry, one
-  /// weighted assessor/tuner observe per (shard, access-pattern) group
-  /// attributed with the sequential round-robin sequence, then at most one
-  /// tuning decision at the chunk end. probe() is its one-key call.
+  /// The one probe body: index probe of a tuner-boundary-free chunk,
+  /// probe telemetry, one weighted assessor/tuner observe per access
+  /// pattern, then at most one tuning decision at the chunk end. probe()
+  /// is its one-key call.
   void probe_chunk(const index::ProbeKey* keys, std::size_t n,
                    std::vector<const Tuple*>* outs, index::ProbeStats* stats);
-  /// Merged tuning epoch (sharded and/or multi-query): merge the whole
-  /// assessor grid's snapshots into one logical assessment, run selection
-  /// (with per-query request attribution when queries > 1), migrate when
-  /// the improvement clears the margin, then apply statistics retention to
-  /// every grid assessor.
+  /// Merged tuning epoch (multi-query): merge the per-query assessors'
+  /// snapshots into one logical assessment, run selection with per-query
+  /// request attribution, migrate when the improvement clears the margin,
+  /// then apply statistics retention to every per-query assessor.
   void merged_tune();
   telemetry::Histogram* pattern_histogram(AttrMask mask);
 
@@ -213,25 +187,19 @@ class StemOperator {
   MemoryTracker* memory_;
   std::deque<Tuple> window_store_;
   std::unique_ptr<index::TupleIndex> index_;
-  index::BitAddressIndex* bit_index_ = nullptr;      ///< non-owning view
-  index::ShardedBitIndex* sharded_index_ = nullptr;  ///< non-owning view
-  index::AccessModuleSet* module_index_ = nullptr;   ///< non-owning view
+  index::BitAddressIndex* bit_index_ = nullptr;     ///< non-owning view
+  index::AccessModuleSet* module_index_ = nullptr;  ///< non-owning view
   std::unique_ptr<tuner::AmriTuner> amri_tuner_;
   std::unique_ptr<tuner::HashModuleTuner> module_tuner_;
-  /// Sharded and/or multi-query mode: the external assessor grid (the
-  /// tuner's own assessor is bypassed), laid out query-major —
-  /// slot = query * shard_slots + shard. Targeted probes are attributed to
-  /// the target shard's assessor; fan-out probes round-robin
-  /// deterministically. Empty for plain single-query unsharded stems.
-  std::vector<std::unique_ptr<assessment::Assessor>> shard_assessors_;
-  /// Shard cells per query in the grid (max(shards, 1)).
-  std::size_t shard_slots_ = 1;
+  /// Multi-query mode: one external assessor per query (the tuner's own
+  /// assessor is bypassed), indexed by the query each probe is attributed
+  /// to. Empty for single-query stems.
+  std::vector<std::unique_ptr<assessment::Assessor>> query_assessors_;
   /// The query currently routing (multi-query mode; see set_active_query).
   std::size_t active_query_ = 0;
   /// Requests attributed to each query since the last merged decision
   /// (multi-query mode only) — the decision timeline's per-query shares.
   std::vector<std::uint64_t> epoch_query_requests_;
-  std::uint64_t fanout_rr_ = 0;
   std::size_t tracked_stats_bytes_ = 0;
   bool continuous_tuning_ = false;
   std::uint64_t warmup_migrations_ = 0;

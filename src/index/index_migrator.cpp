@@ -5,9 +5,8 @@
 
 namespace amri::index {
 
-IndexMigrator::IndexMigrator(ThreadPool* pool, telemetry::Telemetry* telemetry,
-                             StreamId stream)
-    : pool_(pool), telemetry_(telemetry), stream_(stream) {
+IndexMigrator::IndexMigrator(telemetry::Telemetry* telemetry, StreamId stream)
+    : telemetry_(telemetry), stream_(stream) {
   if (telemetry_ != nullptr) {
     auto& reg = telemetry_->metrics();
     const std::string prefix = "stem." + std::to_string(stream_);
@@ -49,9 +48,7 @@ MigrationReport IndexMigrator::migrate(BitAddressIndex& index,
   const TimeMicros started =
       telemetry_ != nullptr ? telemetry_->now() : TimeMicros{0};
   // The reconfigure path recomputes bucket ids sequentially and charges the
-  // meter as it goes. A thread pool could precompute ids for very large
-  // states; the modelled cost is identical, so we keep the deterministic
-  // sequential path and reserve the pool for bulk-load helpers.
+  // meter as it goes.
   index.reconfigure(target);
   AMRI_CHECK_INVARIANTS(index);
   if (telemetry_ != nullptr) {

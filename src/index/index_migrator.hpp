@@ -3,16 +3,13 @@
 // relocation of each tuple to the buckets defined by BI2").
 //
 // Migration cost is N_A(new) hashes per stored tuple; the migrator charges
-// it to the state's meter and can precompute bucket ids on a thread pool
-// for large states (the charge stays identical — parallelism saves wall
-// time, not modelled cost).
+// it to the state's meter.
 #pragma once
 
 #include <cstdint>
 
 #include "common/lock_ranks.gen.hpp"
 #include "common/thread_annotations.hpp"
-#include "common/thread_pool.hpp"
 #include "index/bit_address_index.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -31,11 +28,10 @@ struct MigrationReport {
 
 class IndexMigrator {
  public:
-  /// `pool` may be null (sequential migration). With `telemetry` set the
-  /// migrator emits migration_start/migration_end events for `stream` and
-  /// records pause-duration/tuples-moved metrics under "stem.<stream>".
-  explicit IndexMigrator(ThreadPool* pool = nullptr,
-                         telemetry::Telemetry* telemetry = nullptr,
+  /// With `telemetry` set the migrator emits migration_start/migration_end
+  /// events for `stream` and records pause-duration/tuples-moved metrics
+  /// under "stem.<stream>".
+  explicit IndexMigrator(telemetry::Telemetry* telemetry = nullptr,
                          StreamId stream = 0);
 
   /// Rebuild `index` under `target`. No-op (zero-cost) if the IC is equal.
@@ -50,7 +46,6 @@ class IndexMigrator {
   mutable Mutex mu_{lockrank::kIndexMigratorMu};
   // Set in the constructor, then only read under mu_ from migrate(): the
   // whole configuration is serialized behind the per-instance mutex.
-  ThreadPool* pool_ AMRI_GUARDED_BY(mu_);
   telemetry::Telemetry* telemetry_ AMRI_GUARDED_BY(mu_);
   StreamId stream_ AMRI_GUARDED_BY(mu_);
   telemetry::Counter* migration_count_ AMRI_GUARDED_BY(mu_) = nullptr;

@@ -50,16 +50,10 @@ class TupleIndex {
   virtual ProbeStats probe(const ProbeKey& key,
                            std::vector<const Tuple*>& out) = 0;
 
-  /// Probe `n` keys at once: appends key i's matches to `outs[i]` and
-  /// stores its statistics in `stats[i]`. The contract is exact per-key
-  /// equivalence with n single probe() calls in order — same matches in
-  /// the same order, same per-key stats, same total metered cost (shared
-  /// batch computations are still charged once per key they serve).
-  /// The default implementation is that loop; ShardedBitIndex overrides it
-  /// to dispatch one task per shard per batch.
-  virtual void probe_batch(const ProbeKey* keys, std::size_t n,
-                           std::vector<const Tuple*>* outs,
-                           ProbeStats* stats) {
+  /// Probe `n` keys in order: n single probe() calls, key i's matches
+  /// appended to `outs[i]` and its statistics stored in `stats[i]`.
+  void probe_batch(const ProbeKey* keys, std::size_t n,
+                   std::vector<const Tuple*>* outs, ProbeStats* stats) {
     for (std::size_t i = 0; i < n; ++i) stats[i] = probe(keys[i], outs[i]);
   }
 

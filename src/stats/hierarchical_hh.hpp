@@ -60,7 +60,7 @@ class HierarchicalHeavyHitter {
   std::uint64_t seed() const { return seed_; }
 
   /// Inject one retained lattice node without running compression — used
-  /// when rebuilding a sketch from merged per-shard snapshots. Call
+  /// when rebuilding a sketch from merged per-query snapshots. Call
   /// set_observed() afterwards so frequencies (and the mass-conservation
   /// invariant, when the loaded state was never decayed) hold.
   void load_node(AttrMask mask, std::uint64_t count, std::uint64_t max_error) {

@@ -1,6 +1,6 @@
 // Wall-clock phase profiler: RAII scope timers around the executor's
 // pipeline phases (drain, expiry, insert, route, probe, assessor
-// snapshot/merge, tuner epoch, shard migration, sampling). Scopes nest —
+// snapshot/merge, tuner epoch, index migration, sampling). Scopes nest —
 // a probe runs inside a route, a migration inside a tuner epoch — and the
 // profiler keeps *exclusive* per-phase wall time (a child's time is not
 // double-counted in its parent), so the per-phase totals sum to the wall
@@ -10,9 +10,8 @@
 // gauges so both flow through the JSONL/Prometheus exporters unchanged.
 //
 // Thread safety: none — the profiler tracks one scope stack and must only
-// be driven from the executor's driver thread (pool-thread work is timed
-// by its caller's enclosing scope; the ThreadPool has its own queue-wait
-// instruments). The registry instruments it writes are thread-safe.
+// be driven from the engine's thread. The registry instruments it writes
+// are thread-safe.
 // The disabled path is the usual nullable-handle contract: a null
 // Profiler* makes ScopedPhase a no-op worth two null checks.
 #pragma once
@@ -32,7 +31,7 @@ enum class Phase : std::uint8_t {
   kInsert,         ///< STeM index inserts (single or batched)
   kRoute,          ///< eddy routing (route / route_batch), probes excluded
   kProbe,          ///< index probe work inside a routing hop
-  kSnapshotMerge,  ///< per-shard assessor snapshot + merge at an epoch
+  kSnapshotMerge,  ///< per-query assessor snapshot + merge at an epoch
   kTunerEpoch,     ///< tuner decide/optimize (migration excluded)
   kMigration,      ///< index reconfiguration (rehash + move)
   kSample,         ///< periodic engine state sampling

@@ -65,10 +65,9 @@ class Telemetry {
   const Profiler* profiler() const { return profiler_.get(); }
 
   // Sampled per-tuple spans. The executor opens a span for every Nth
-  // arrival; downstream producers (eddy, STeM, sharded index) emit span
-  // stage events only while `active_span() != 0`. Single active span at a
-  // time, driver-thread only — like the profiler, span state is not
-  // synchronized.
+  // arrival; downstream producers (eddy, STeM) emit span stage events only
+  // while `active_span() != 0`. Single active span at a time, engine-thread
+  // only — like the profiler, span state is not synchronized.
   std::uint64_t begin_span() { return active_span_ = ++next_span_id_; }
   /// Re-activate a span id returned by begin_span(). The batched executor
   /// allocates the span when the arrival is drained, suspends it while the

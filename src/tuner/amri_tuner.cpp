@@ -36,7 +36,7 @@ AmriTuner::AmriTuner(AttrMask universe, std::size_t num_attrs,
       selector_(effective_guardrails(options), model_.params().hash_cost),
       telemetry_(telemetry),
       stream_(stream),
-      migrator_(nullptr, telemetry, stream),
+      migrator_(telemetry, stream),
       memory_(memory) {
   assert(assessor_ != nullptr);
   assert(popcount(universe) == static_cast<int>(num_attrs));
@@ -305,26 +305,6 @@ TuneDecision AmriTuner::recommend_from(const ExternalAssessment& external,
     stats_entries_gauge_->set(static_cast<double>(external.table_size));
     stats_bytes_gauge_->set(static_cast<double>(external.approx_bytes));
   }
-  return decision;
-}
-
-TuneDecision AmriTuner::maybe_tune_sharded(index::ShardedBitIndex& index,
-                                           const ExternalAssessment& external) {
-  const index::IndexConfig before = index.config();
-  TuneDecision decision = recommend_from(external, before);
-  const WhatIfContext ctx{index.size(), index.memory_bytes()};
-  if (select_migration(decision, before, ctx)) {
-    const auto report = index.migrate_shards(decision.recommended, migrator_);
-    // Total modelled pause is the full rebuild (identical to the
-    // unsharded path); the *per-probe* stall shrinks to the largest
-    // single-shard rebuild, ~1/N of the window.
-    decision.migration_cost_us = static_cast<double>(report.hashes_charged) *
-                                 model_.params().hash_cost;
-    migration_pause_us_ += decision.migration_cost_us;
-    decision.migrated = true;
-    ++migrations_;
-  }
-  finish_decision(decision, before);
   return decision;
 }
 

@@ -25,7 +25,6 @@
 #include "index/bit_address_index.hpp"
 #include "index/index_migrator.hpp"
 #include "index/index_optimizer.hpp"
-#include "index/sharded_bit_index.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tuner/evaluator.hpp"
 #include "tuner/selector.hpp"
@@ -57,7 +56,7 @@ struct TunerOptions {
   /// (the default) builds a disabled selector whose dead-band equals
   /// `min_improvement` — the legacy migration rule, bit-for-bit.
   std::optional<GuardrailOptions> guardrails;
-  /// Called after every applied decision (maybe_tune / maybe_tune_sharded)
+  /// Called after every applied decision (maybe_tune / maybe_tune_external)
   /// with the owning stream and the full decision, including the guardrail
   /// verdict. Fires whether or not telemetry is attached.
   std::function<void(StreamId, const TuneDecision&)> on_decision;
@@ -112,9 +111,8 @@ struct TuneDecision {
   double budget_remaining_us = 0.0;
 };
 
-/// Externally assessed statistics for one decision. Sharded and
-/// multi-query stems collect per-shard / per-query assessor snapshots,
-/// merge them (assessment/snapshot.hpp), and hand the thresholded answer
+/// Externally assessed statistics for one decision. Multi-query stems
+/// collect per-query assessor snapshots, merge them (assessment/snapshot.hpp), and hand the thresholded answer
 /// here so the tuner sees one logical state.
 struct ExternalAssessment {
   std::vector<assessment::AssessedPattern> frequent;
@@ -175,8 +173,8 @@ class AmriTuner {
   /// migrate `index` to the recommended IC.
   TuneDecision maybe_tune(index::BitAddressIndex& index);
 
-  /// Count `n` requests assessed *outside* the tuner (sharded stems feed
-  /// their shard assessors directly); keeps the decision cadence — and the
+  /// Count `n` requests assessed *outside* the tuner (multi-query stems
+  /// feed their per-query assessors directly); keeps the decision cadence — and the
   /// observed-request total — identical to the observe_request() path.
   void note_request(std::uint64_t n = 1) {
     since_last_decision_ += n;
@@ -194,22 +192,14 @@ class AmriTuner {
     epoch_probe_count_ += probes;
   }
 
-  /// Selection over externally assessed (merged per-shard) statistics.
+  /// Selection over externally assessed (merged per-query) statistics.
   /// Same decision core as recommend(); statistics retention is the
-  /// caller's job (the stem owns the shard assessors).
+  /// caller's job (the stem owns the per-query assessors).
   TuneDecision recommend_from(const ExternalAssessment& external,
                               const index::IndexConfig& current);
 
-  /// recommend_from() and, if the improvement clears the hysteresis
-  /// margin, migrate `index` shard by shard so each pause covers only
-  /// 1/N of the window.
-  TuneDecision maybe_tune_sharded(index::ShardedBitIndex& index,
-                                  const ExternalAssessment& external);
-
   /// maybe_tune() driven by an external (merged per-query) assessment
-  /// instead of the tuner's own assessor — the unsharded counterpart of
-  /// maybe_tune_sharded, used by multi-query stems whose shared state runs
-  /// a single BitAddressIndex.
+  /// instead of the tuner's own assessor, used by multi-query stems.
   TuneDecision maybe_tune_external(index::BitAddressIndex& index,
                                    const ExternalAssessment& external);
 
@@ -232,7 +222,7 @@ class AmriTuner {
   /// caller's responsibility.
   TuneDecision decide(const std::vector<assessment::AssessedPattern>& frequent,
                       const index::IndexConfig& current);
-  /// Selection stage shared by maybe_tune / maybe_tune_sharded: run the
+  /// Selection stage shared by maybe_tune / maybe_tune_external: run the
   /// guardrail selector over a due decision and copy the outcome (verdict,
   /// what-if numbers, budget state) into it. Returns true when the
   /// migration should fire.

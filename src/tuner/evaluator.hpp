@@ -1,7 +1,7 @@
 // Candidate evaluation: the first half of the tuner's evaluator/selector
 // pipeline (after hyrise's IndexTuner split). An evaluator turns one
 // epoch's assessed access-pattern statistics — the thresholded answer of a
-// single assessor or of merged per-shard snapshots — into scored candidate
+// single assessor or of merged per-query snapshots — into scored candidate
 // index configurations. It is a pure scoring function: no migration
 // decision, no hysteresis, no budgets; those belong to the selector
 // (tuner/selector.hpp). Keeping the two halves separate makes each

@@ -55,7 +55,7 @@ TEST(LockRank, CondVarWaitReacquireIsClean) {
 
 TEST(LockRankDeathTest, InversionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex low{lockrank::kShardedBitIndexShardMu};
+  Mutex low{lockrank::kThreadPoolMu};
   Mutex high{lockrank::kHistogramMu};
   EXPECT_DEATH(
       {

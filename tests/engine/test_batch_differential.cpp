@@ -4,12 +4,11 @@
 // collected rows, same WHERE-filtered count, same final tuner IC per
 // state, same migration counts, the same warm-up boundary sample, and the
 // same *modelled cost* down to the meter's exact operation counters —
-// across batch {1, 16, 256} and shard {1, 4} combinations.
+// across batch sizes {1, 16, 256}.
 //
-// Divergence channels are pinned the same way as the sharded differential
-// harness (kFixed routing, SRIA/DIA assessors, window off the arrival
-// grid), with one addition: arrivals come in *bursts* of ~25 tuples that
-// share a timestamp, 1.25 s apart. Bursts are what make batches actually
+// Divergence channels are pinned by kFixed routing, SRIA/DIA assessors and
+// a window off the arrival grid, and arrivals come in *bursts* of ~25
+// tuples that share a timestamp, 1.25 s apart. Bursts are what make batches actually
 // form (the executor only drains arrivals that are already due), and the
 // 25 ms slack between the expiry horizon and the burst grid dwarfs the
 // sub-millisecond virtual-time skew from expiring once per batch instead
@@ -124,8 +123,7 @@ std::vector<Tuple> make_bursty_arrivals(const Scenario& sc) {
   return tuples;
 }
 
-Observed run_scenario(const Scenario& sc, std::size_t batch,
-                      std::size_t shards) {
+Observed run_scenario(const Scenario& sc, std::size_t batch) {
   // 30.025 s: 25 ms past a burst timestamp, so the expiry horizon never
   // sits within the batch's virtual-time cost jitter of an arrival.
   QuerySpec q =
@@ -146,7 +144,6 @@ Observed run_scenario(const Scenario& sc, std::size_t batch,
   o.max_collected_rows = std::size_t{1} << 30;
   o.batch_size = batch;
   o.stem.backend = IndexBackend::kAmri;
-  o.stem.shards = shards;
   o.eddy.routing.kind = RoutingPolicyKind::kFixed;
   tuner::TunerOptions topts;
   topts.assessor = sc.assessor;
@@ -202,7 +199,7 @@ Observed run_scenario(const Scenario& sc, std::size_t batch,
 }
 
 void expect_equivalent(const Scenario& sc) {
-  const Observed base = run_scenario(sc, /*batch=*/1, /*shards=*/1);
+  const Observed base = run_scenario(sc, /*batch=*/1);
   // The scenario must exercise the interesting machinery, not hold
   // vacuously: results, mid-run migrations, and real routing work.
   EXPECT_GT(base.outputs, 0u) << sc.name;
@@ -211,82 +208,56 @@ void expect_equivalent(const Scenario& sc) {
   if (sc.with_selection) {
     EXPECT_GT(base.arrivals_filtered, 0u) << sc.name;
   }
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    // Cost counters are compared within one shard count: a targeted probe
-    // of a sharded state legitimately compares fewer co-residents than the
-    // unpartitioned index (the sharded differential harness documents
-    // this), so the batch-vs-tuple-at-a-time cost baseline is the batch=1
-    // run at the SAME shard count.
-    const Observed& shard_base =
-        shards == 1 ? base : run_scenario(sc, /*batch=*/1, shards);
+  if (sc.warmup_s > 0.0) {
+    // The warm-up boundary's baseline sample: its backlog and memory must
+    // not depend on how the measured phase batches. The boundary must fall
+    // mid-burst, or draining ahead of it would go unnoticed.
+    EXPECT_EQ(base.first_sample.t, 0) << sc.name;
+    EXPECT_GT(base.first_sample.backlog, 0u) << sc.name;
+    EXPECT_LT(base.first_sample.backlog, sc.burst - 1) << sc.name;
+  }
+  for (const std::size_t batch : {std::size_t{16}, std::size_t{256}}) {
+    const Observed got = run_scenario(sc, batch);
+    const std::string tag = sc.name + " batch=" + std::to_string(batch);
+    EXPECT_EQ(got.outputs, base.outputs) << tag;
+    EXPECT_EQ(got.results, base.results) << tag;
+    EXPECT_EQ(got.rows, base.rows) << tag;
+    EXPECT_EQ(got.arrivals_filtered, base.arrivals_filtered) << tag;
+    EXPECT_EQ(got.final_ics, base.final_ics) << tag;
+    EXPECT_EQ(got.migrations, base.migrations) << tag;
     if (sc.warmup_s > 0.0) {
-      // The warm-up boundary's baseline sample: its backlog and memory
-      // must not depend on how the measured phase batches. The boundary
-      // must fall mid-burst, or draining ahead of it would go unnoticed.
-      EXPECT_EQ(shard_base.first_sample.t, 0) << sc.name;
-      EXPECT_GT(shard_base.first_sample.backlog, 0u) << sc.name;
-      EXPECT_LT(shard_base.first_sample.backlog, sc.burst - 1) << sc.name;
+      EXPECT_EQ(got.first_sample.t, base.first_sample.t) << tag;
+      EXPECT_EQ(got.first_sample.backlog, base.first_sample.backlog) << tag;
+      EXPECT_EQ(got.first_sample.memory_bytes, base.first_sample.memory_bytes)
+          << tag;
     }
-    if (shards != 1) {
-      // Logical observables still match across shard counts. With a
-      // warm-up, the measured phase starts at whichever arrival the
-      // (cost-driven) clock reaches the boundary on, so the measured-phase
-      // counts are compared within one shard count only.
-      if (sc.warmup_s == 0.0) {
-        EXPECT_EQ(shard_base.outputs, base.outputs) << sc.name;
-      }
-      EXPECT_EQ(shard_base.results, base.results) << sc.name;
-      EXPECT_EQ(shard_base.final_ics, base.final_ics) << sc.name;
-      EXPECT_EQ(shard_base.migrations, base.migrations) << sc.name;
-    }
-    for (const std::size_t batch : {std::size_t{16}, std::size_t{256}}) {
-      const Observed got = run_scenario(sc, batch, shards);
-      const std::string tag =
-          sc.name + " batch=" + std::to_string(batch) + " shards=" +
-          std::to_string(shards);
-      EXPECT_EQ(got.outputs, shard_base.outputs) << tag;
-      EXPECT_EQ(got.results, base.results) << tag;
-      EXPECT_EQ(got.rows, shard_base.rows) << tag;
-      EXPECT_EQ(got.arrivals_filtered, shard_base.arrivals_filtered) << tag;
-      EXPECT_EQ(got.final_ics, base.final_ics) << tag;
-      EXPECT_EQ(got.migrations, base.migrations) << tag;
-      if (sc.warmup_s > 0.0) {
-        EXPECT_EQ(got.first_sample.t, shard_base.first_sample.t) << tag;
-        EXPECT_EQ(got.first_sample.backlog, shard_base.first_sample.backlog)
-            << tag;
-        EXPECT_EQ(got.first_sample.memory_bytes,
-                  shard_base.first_sample.memory_bytes)
-            << tag;
-      }
-      EXPECT_EQ(got.routes, shard_base.routes) << tag;
-      EXPECT_EQ(got.inserts, shard_base.inserts) << tag;
-      EXPECT_EQ(got.deletes, shard_base.deletes) << tag;
-      if (sc.exact_probe_work) {
-        EXPECT_EQ(got.hashes, shard_base.hashes) << tag;
-        EXPECT_EQ(got.compares, shard_base.compares) << tag;
-        EXPECT_EQ(got.bucket_visits, shard_base.bucket_visits) << tag;
-        EXPECT_NEAR(got.charged_us, shard_base.charged_us,
-                    1e-6 * shard_base.charged_us + 1e-6)
-            << tag;
-      } else {
-        // Mid-batch migration boundaries reassign a few probes to the
-        // other IC (see Scenario::exact_probe_work); observed drift is
-        // a handful of compares out of hundreds of thousands, so 0.1 %
-        // is a tight bound that still fails on any real regression.
-        const auto near_count = [&](std::uint64_t got_v, std::uint64_t want_v,
-                                    const char* what) {
-          EXPECT_NEAR(static_cast<double>(got_v), static_cast<double>(want_v),
-                      1e-3 * static_cast<double>(want_v) + 1.0)
-              << tag << " " << what;
-        };
-        near_count(got.hashes, shard_base.hashes, "hashes");
-        near_count(got.compares, shard_base.compares, "compares");
-        near_count(got.bucket_visits, shard_base.bucket_visits,
-                   "bucket_visits");
-        EXPECT_NEAR(got.charged_us, shard_base.charged_us,
-                    1e-3 * shard_base.charged_us + 1e-6)
-            << tag;
-      }
+    EXPECT_EQ(got.routes, base.routes) << tag;
+    EXPECT_EQ(got.inserts, base.inserts) << tag;
+    EXPECT_EQ(got.deletes, base.deletes) << tag;
+    if (sc.exact_probe_work) {
+      EXPECT_EQ(got.hashes, base.hashes) << tag;
+      EXPECT_EQ(got.compares, base.compares) << tag;
+      EXPECT_EQ(got.bucket_visits, base.bucket_visits) << tag;
+      EXPECT_NEAR(got.charged_us, base.charged_us,
+                  1e-6 * base.charged_us + 1e-6)
+          << tag;
+    } else {
+      // Mid-batch migration boundaries reassign a few probes to the other
+      // IC (see Scenario::exact_probe_work); observed drift is a handful
+      // of compares out of hundreds of thousands, so 0.1 % is a tight
+      // bound that still fails on any real regression.
+      const auto near_count = [&](std::uint64_t got_v, std::uint64_t want_v,
+                                  const char* what) {
+        EXPECT_NEAR(static_cast<double>(got_v), static_cast<double>(want_v),
+                    1e-3 * static_cast<double>(want_v) + 1.0)
+            << tag << " " << what;
+      };
+      near_count(got.hashes, base.hashes, "hashes");
+      near_count(got.compares, base.compares, "compares");
+      near_count(got.bucket_visits, base.bucket_visits, "bucket_visits");
+      EXPECT_NEAR(got.charged_us, base.charged_us,
+                  1e-3 * base.charged_us + 1e-6)
+          << tag;
     }
   }
 }
@@ -341,9 +312,8 @@ TEST(BatchDifferential, TwoStreamDiaDriftWithSelectionAndWarmup) {
   expect_equivalent(sc);
 }
 
-// kReset / kKeep retention only: kDecay is excluded for the same reason as
-// in the sharded harness (per-entry truncation is not batching-invariant —
-// see docs/architecture.md). Three streams with DIA drift reliably lands a
+// kReset / kKeep retention only: kDecay is excluded because per-entry
+// truncation is not batching-invariant (see docs/architecture.md). Three streams with DIA drift reliably lands a
 // migration mid-batch, so this is the scenario that exercises the
 // probe-reorder tolerance path.
 TEST(BatchDifferential, ThreeStreamDiaDrift) {

@@ -14,7 +14,7 @@
 //     every grid point as at batch size 1 (batched multi-query routing is
 //     level-order; the depth-first tuple-at-a-time schedule is the
 //     reference);
-//   * the per-(query, shard) assessment grid must merge into exactly the
+//   * the per-query assessors must merge into exactly the
 //     unpartitioned assessment for the exact kinds (SRIA/DIA) and stay
 //     within the documented epsilon for the compressing kinds, and the
 //     merged answer must be invariant to how the queries' request
@@ -58,31 +58,23 @@ class ScriptedSource final : public TupleSource {
   std::deque<Tuple> tuples_;
 };
 
-/// One grid point of the feature matrix the unified core must serve.
-struct GridPoint {
-  std::size_t shards = 1;
-  std::size_t batch = 1;
-  std::string label() const {
-    return "shards=" + std::to_string(shards) +
-           " batch=" + std::to_string(batch);
-  }
-};
+/// The batch sizes (grid points) the unified core must serve.
+constexpr std::size_t kBatchGrid[] = {1, 4};
 
-std::vector<GridPoint> feature_grid() {
-  return {{1, 1}, {1, 4}, {2, 1}, {2, 4}};
+std::string label(std::size_t batch) {
+  return "batch=" + std::to_string(batch);
 }
 
 /// Zero modelled costs + deterministic routing + an always-on AMRI tuner:
 /// the adaptive machinery runs (assessment, epochs, migrations) without
 /// cost-dependent divergence between grid points.
-ExecutorOptions grid_options(const GridPoint& gp, std::size_t num_attrs) {
+ExecutorOptions grid_options(std::size_t batch, std::size_t num_attrs) {
   ExecutorOptions o;
   o.duration = seconds_to_micros(200);
   o.sample_every = seconds_to_micros(50);
   o.costs = CostParams{0, 0, 0, 0, 0, 0};
   o.stem.backend = IndexBackend::kAmri;
-  o.stem.shards = gp.shards;
-  o.batch_size = gp.batch;
+  o.batch_size = batch;
   o.eddy.routing.kind = RoutingPolicyKind::kFixed;
   tuner::TunerOptions topts;
   topts.reassess_every = 120;
@@ -223,34 +215,34 @@ TEST(MultiQueryDifferential, DisjointQueriesEqualIndependentRuns) {
       make_queries(3, n_attrs, /*disjoint=*/true, seconds_to_micros(20.025));
   const auto arrivals = make_arrivals(900, n_attrs, 5, 29);
 
-  for (const GridPoint& gp : feature_grid()) {
+  for (const std::size_t batch : kBatchGrid) {
     std::vector<std::uint64_t> alone;
     for (const QuerySpec& q : queries) {
       ScriptedSource src(arrivals);
-      Executor ex(q, grid_options(gp, n_attrs));
+      Executor ex(q, grid_options(batch, n_attrs));
       alone.push_back(ex.run(src).outputs);
     }
 
     ScriptedSource src(arrivals);
-    MultiQueryExecutor multi(queries, grid_options(gp, n_attrs));
+    MultiQueryExecutor multi(queries, grid_options(batch, n_attrs));
     const MultiRunResult r = multi.run(src);
-    ASSERT_EQ(r.per_query_outputs.size(), alone.size()) << gp.label();
+    ASSERT_EQ(r.per_query_outputs.size(), alone.size()) << label(batch);
     std::uint64_t sum = 0;
     for (std::size_t qi = 0; qi < alone.size(); ++qi) {
       EXPECT_EQ(r.per_query_outputs[qi], alone[qi])
-          << gp.label() << " query " << qi;
+          << label(batch) << " query " << qi;
       sum += r.per_query_outputs[qi];
     }
-    EXPECT_EQ(r.combined.outputs, sum) << gp.label();
+    EXPECT_EQ(r.combined.outputs, sum) << label(batch);
     // Every sample carries the per-query attribution, and the final one is
     // the run total.
-    ASSERT_FALSE(r.combined.samples.empty()) << gp.label();
+    ASSERT_FALSE(r.combined.samples.empty()) << label(batch);
     for (const Sample& s : r.combined.samples) {
-      ASSERT_EQ(s.per_query_outputs.size(), alone.size()) << gp.label();
+      ASSERT_EQ(s.per_query_outputs.size(), alone.size()) << label(batch);
     }
     EXPECT_EQ(r.combined.samples.back().per_query_outputs,
               r.per_query_outputs)
-        << gp.label();
+        << label(batch);
   }
 }
 
@@ -265,17 +257,16 @@ TEST(MultiQueryDifferential, OverlappingQueriesGridMatchesTupleAtATime) {
       make_queries(3, n_attrs, /*disjoint=*/false, seconds_to_micros(15.025));
   const auto arrivals = make_arrivals(900, n_attrs, 4, 41);
 
-  const GridPoint reference{1, 1};
   ScriptedSource ref_src(arrivals);
-  MultiQueryExecutor ref_ex(queries, grid_options(reference, n_attrs));
+  MultiQueryExecutor ref_ex(queries, grid_options(/*batch=*/1, n_attrs));
   const MultiRunResult ref = ref_ex.run(ref_src);
 
-  for (const GridPoint& gp : feature_grid()) {
+  for (const std::size_t batch : kBatchGrid) {
     ScriptedSource src(arrivals);
-    MultiQueryExecutor ex(queries, grid_options(gp, n_attrs));
+    MultiQueryExecutor ex(queries, grid_options(batch, n_attrs));
     const MultiRunResult r = ex.run(src);
-    EXPECT_EQ(r.per_query_outputs, ref.per_query_outputs) << gp.label();
-    EXPECT_EQ(r.combined.outputs, ref.combined.outputs) << gp.label();
+    EXPECT_EQ(r.per_query_outputs, ref.per_query_outputs) << label(batch);
+    EXPECT_EQ(r.combined.outputs, ref.combined.outputs) << label(batch);
   }
 }
 
@@ -291,7 +282,7 @@ TEST(MultiQueryDifferential, TunerDecisionsCarryPerQueryShares) {
   const auto arrivals = make_arrivals(1500, n_attrs, 6, 7);
 
   telemetry::Telemetry tel;
-  ExecutorOptions o = grid_options({1, 1}, n_attrs);
+  ExecutorOptions o = grid_options(/*batch=*/1, n_attrs);
   o.telemetry = &tel;
   MultiQueryExecutor ex(queries, o);
   ScriptedSource src(arrivals);

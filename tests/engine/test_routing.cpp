@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 
 namespace amri::engine {
@@ -110,6 +111,36 @@ TEST(LotteryPolicy, FavorsSelectiveOperatorsStatistically) {
   // Ticket ratio = (1/0.2) : (1/10) = 25 : 0.5 -> state 2 overwhelmingly.
   EXPECT_GT(picks[2], picks[1] * 5);
   EXPECT_GT(picks[1], 0);  // but state 1 still drawn sometimes
+}
+
+// Pins the exact choice sequence of a seeded lottery policy over fixed
+// statistics, covering both its exploration draw and its ticket draw. How
+// choose() stores its tickets may change; every draw must stay
+// bit-identical.
+TEST(LotteryPolicy, SeededChoiceSequenceIsPinned) {
+  RoutingOptions opts;
+  opts.kind = RoutingPolicyKind::kLottery;
+  opts.exploration_rate = 0.1;
+  opts.seed = 23;
+  const auto policy = make_routing_policy(opts);
+  RoutingStatistics stats;
+  stats.record(1, 0b001, 3.0, 40.0);
+  stats.record(2, 0b011, 0.25, 10.0);
+  stats.record(3, 0b001, 12.0, 90.0);
+  RoutingContext ctx;
+  ctx.candidates.push_back({1, 0b001});
+  ctx.candidates.push_back({2, 0b011});
+  ctx.candidates.push_back({3, 0b001});
+  ctx.candidates.push_back({4, 0b101});  // no statistics: fan-out 1
+  std::map<std::size_t, int> picks;
+  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a over the choices
+  for (int i = 0; i < 1000; ++i) {
+    const std::size_t c = policy->choose(ctx, stats);
+    ++picks[c];
+    hash = (hash ^ c) * 1099511628211ULL;
+  }
+  EXPECT_EQ(picks.size(), 4u);  // every candidate drawn at least once
+  EXPECT_EQ(hash, 11575528671549758783ULL);
 }
 
 TEST(Policies, SingleCandidateAlwaysChosen) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "../test_util.hpp"
+#include "common/thread_pool.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace amri::index {
@@ -30,8 +31,8 @@ TEST(ConcurrentMigration, PerStreamMigratorsSharedTelemetry) {
   for (std::size_t s = 0; s < kThreads; ++s) {
     indexes.push_back(std::make_unique<BitAddressIndex>(
         jas3(), IndexConfig({6, 0, 0}), BitMapper::hashing(3)));
-    migrators.push_back(std::make_unique<IndexMigrator>(
-        nullptr, &telemetry, static_cast<StreamId>(s)));
+    migrators.push_back(
+        std::make_unique<IndexMigrator>(&telemetry, static_cast<StreamId>(s)));
     pools.emplace_back(kTuplesPerIndex, 3, 40, 100 + s);
     for (const Tuple* t : pools.back().pointers()) indexes[s]->insert(t);
   }
@@ -71,7 +72,7 @@ TEST(ConcurrentMigration, PerStreamMigratorsSharedTelemetry) {
 
 TEST(ConcurrentMigration, SharedMigratorSerializesRebuilds) {
   telemetry::Telemetry telemetry;
-  const IndexMigrator migrator(nullptr, &telemetry, 0);
+  const IndexMigrator migrator(&telemetry, 0);
   std::vector<std::unique_ptr<BitAddressIndex>> indexes;
   std::vector<testutil::TuplePool> pools;
   std::vector<std::set<const Tuple*>> expected(kThreads);
@@ -110,8 +111,8 @@ TEST(ConcurrentMigration, SharedMigratorSerializesRebuilds) {
 }
 
 TEST(ConcurrentMigration, ParallelPoolBackedMigrations) {
-  // Migrators that share a ThreadPool for bulk work must coexist with each
-  // other and with direct pool users.
+  // Per-stream migrators driven from the worker threads of one shared
+  // ThreadPool, against a shared Telemetry instance.
   telemetry::Telemetry telemetry;
   ThreadPool pool(4);
   std::vector<std::unique_ptr<BitAddressIndex>> indexes;
@@ -120,17 +121,16 @@ TEST(ConcurrentMigration, ParallelPoolBackedMigrations) {
   for (std::size_t s = 0; s < kThreads; ++s) {
     indexes.push_back(std::make_unique<BitAddressIndex>(
         jas3(), IndexConfig({6, 0, 0}), BitMapper::hashing(3)));
-    migrators.push_back(std::make_unique<IndexMigrator>(
-        &pool, &telemetry, static_cast<StreamId>(s)));
+    migrators.push_back(
+        std::make_unique<IndexMigrator>(&telemetry, static_cast<StreamId>(s)));
     pools.emplace_back(kTuplesPerIndex, 3, 40, 300 + s);
     for (const Tuple* t : pools.back().pointers()) indexes[s]->insert(t);
   }
-  std::vector<std::thread> threads;
   for (std::size_t s = 0; s < kThreads; ++s) {
-    threads.emplace_back(
+    pool.submit(
         [&, s] { migrators[s]->migrate(*indexes[s], IndexConfig({2, 2, 2})); });
   }
-  for (auto& t : threads) t.join();
+  pool.wait_idle();
   for (std::size_t s = 0; s < kThreads; ++s) {
     EXPECT_EQ(indexes[s]->config(), IndexConfig({2, 2, 2}));
     EXPECT_EQ(indexes[s]->size(), kTuplesPerIndex);

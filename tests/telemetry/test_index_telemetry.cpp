@@ -1,10 +1,9 @@
 // The index/state telemetry contract: bulk_load() must feed the same
 // instruments insert() feeds (chain-length histogram, occupancy-imbalance
 // gauge) instead of leaving them empty/stale, and the probe path must feed
-// its own instruments — the per-state batch-size histogram
+// its own instrument — the per-state batch-size histogram
 // (`stem.<s>.probe.batch_size`, one observation per probe call, 1 for a
-// single probe) and the sharded per-batch fan-out-width histogram
-// (`<prefix>.probe.batch.fanout_width`).
+// single probe).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -16,7 +15,6 @@
 #include "engine/executor.hpp"
 #include "engine/stem.hpp"
 #include "index/bit_address_index.hpp"
-#include "index/sharded_bit_index.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace amri::index {
@@ -114,56 +112,6 @@ TEST(IndexTelemetry, BindNullDetachesInstruments) {
   const auto* hist = tel.metrics().find_histogram("idx.bucket.chain_len");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->count(), 0u);
-}
-
-TEST(IndexTelemetry, BatchFanoutWidthHistogramCountsShardsTouched) {
-  telemetry::Telemetry tel;
-  ShardedBitIndex idx(jas3(), IndexConfig({2, 2, 2}), BitMapper::hashing(3),
-                      /*shards=*/4, /*shard_pos=*/1);
-  idx.bind_telemetry(&tel, "idx");
-  testutil::TuplePool pool(400, 3, 20, 23);
-  for (const Tuple* t : pool.pointers()) idx.insert(t);
-
-  // A batch of three targeted keys (shard attribute bound): only the
-  // owning shards have work, so the batch fan-out width is <= 3 and the
-  // histogram gains exactly ONE observation for the whole batch.
-  std::vector<ProbeKey> keys(3);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    keys[i].mask = 0b010;
-    keys[i].values = {0, static_cast<Value>(i), 0};
-  }
-  std::vector<std::vector<const Tuple*>> outs(keys.size());
-  std::vector<ProbeStats> stats(keys.size());
-  idx.probe_batch(keys.data(), keys.size(), outs.data(), stats.data());
-
-  const auto* width = tel.metrics().find_histogram(
-      "idx.probe.batch.fanout_width");
-  ASSERT_NE(width, nullptr);
-  EXPECT_EQ(width->count(), 1u);
-  EXPECT_LE(width->sum(), 3.0);
-  EXPECT_GE(width->sum(), 1.0);
-
-  // A batch containing a fan-out key (shard attribute unbound) touches
-  // every shard: width == shard_count for that batch.
-  ProbeKey fanout;
-  fanout.mask = 0b001;
-  fanout.values = {pool.at(0)->at(0), 0, 0};
-  std::vector<const Tuple*> out1;
-  ProbeStats st1{};
-  std::vector<const Tuple*>* outp = &out1;
-  idx.probe_batch(&fanout, 1, outp, &st1);
-  // n == 1 delegates to the single-probe path: the *batch* histogram
-  // still records the batch, with width 1-per-key semantics preserved by
-  // the per-key fan-out histogram instead.
-  EXPECT_EQ(width->count(), 2u);
-
-  std::vector<ProbeKey> mixed = {keys[0], fanout};
-  std::vector<std::vector<const Tuple*>> mouts(2);
-  std::vector<ProbeStats> mstats(2);
-  idx.probe_batch(mixed.data(), 2, mouts.data(), mstats.data());
-  EXPECT_EQ(width->count(), 3u);
-  // The mixed batch's fan-out key forces work onto every shard.
-  EXPECT_GE(width->sum(), 1.0 + 1.0 + 4.0);
 }
 
 TEST(IndexTelemetry, StemBatchSizeHistogramRecordsKeysPerBatch) {

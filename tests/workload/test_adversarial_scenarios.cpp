@@ -173,7 +173,9 @@ TEST(AdversarialScenarios, OutOfOrderDeliveryIsTimestampMonotone) {
     // The engine requires non-decreasing delivery timestamps and strictly
     // increasing sequence numbers even though generation was reordered.
     ASSERT_GE(t->ts, last);
-    if (i > 0) ASSERT_GT(t->seq, last_seq);
+    if (i > 0) {
+      ASSERT_GT(t->seq, last_seq);
+    }
     last = t->ts;
     last_seq = t->seq;
   }

@@ -42,14 +42,13 @@ import tempfile
 SCHEMA = "amri-bench-v1"
 
 # Default bench set: the index hot-path microbench (the directory's raison
-# d'etre), the assessment microbench (tuner hot path), the sharded-state
-# microbench (probe churn / fan-out / migration across shard counts), the
-# batched-pipeline microbench (probe_batch amortisation, batch x shards),
-# the adversarial scenario matrix (every named scenario x guardrails off/on;
+# d'etre), the assessment microbench (tuner hot path), the batched-pipeline
+# microbench (probe_batch vs single probes across batch sizes), the
+# adversarial scenario matrix (every named scenario x guardrails off/on;
 # migrations, suppressions, end-state probe cost), and the multi-query
-# ablation (queries x shards x batch grid over shared states plus the
+# ablation (queries x batch grid over shared states plus the
 # shared-vs-independent peak-memory comparison).
-DEFAULT_BENCHES = ["micro_index_ops", "micro_assessment", "micro_sharded_stem",
+DEFAULT_BENCHES = ["micro_index_ops", "micro_assessment",
                    "micro_batch_pipeline", "adversarial_suite",
                    "ablation_multiquery"]
 
@@ -61,11 +60,11 @@ SCENARIO_EXTRA_ARGS = {"adversarial_suite": ["rate=80"],
                        # trajectory raises it with --scenario-sim-seconds.
                        "ablation_multiquery": ["max_queries=3"]}
 
-# google-benchmark encodes named args into the bench name ("BM_X/shards:4",
-# "BM_Y/batch:64/shards:4").  Each matching arg is lifted into a same-named
-# queryable record field.
+# google-benchmark encodes named args into the bench name ("BM_X/batch:64",
+# "abl_multiquery/queries:3/batch:8").  Each matching arg is lifted into a
+# same-named queryable record field.
 _ARG_RES = [(field, re.compile(rf"/{field}:(\d+)(?:/|$)"))
-            for field in ("queries", "shards", "batch")]
+            for field in ("queries", "batch")]
 
 
 def is_gbench(bench_name: str) -> bool:
@@ -113,9 +112,9 @@ def prefix_records(records: list, bench_name: str) -> list:
             for rec in records]
 
 
-def attach_shards(records: list) -> list:
-    """Lift name-encoded bench arguments (query count, shard count, batch
-    size) into queryable record fields, so trajectory tooling can compare
+def lift_args(records: list) -> list:
+    """Lift name-encoded bench arguments (query count, batch size) into
+    queryable record fields, so trajectory tooling can compare
     configurations without name parsing."""
     out = []
     for rec in records:
@@ -144,7 +143,7 @@ def run_one(bench_name: str, args: argparse.Namespace) -> list:
         argv = bench_argv(binary, bench_name, json_path, args)
         print(f"[run_bench] {' '.join(argv)}", file=sys.stderr)
         subprocess.run(argv, check=True, stdout=sys.stderr)
-        return attach_shards(prefix_records(load_records(json_path),
+        return lift_args(prefix_records(load_records(json_path),
                                             bench_name))
     finally:
         os.unlink(json_path)
@@ -179,59 +178,38 @@ def self_test() -> int:
               "escaped bench names survive a load/prefix round trip")
         check(records[0]["value"] == 123456.5, "values preserved")
 
-        # Shard-count extraction: "shards:N" bench args become a queryable
-        # record field; records without the arg are left untouched.
-        sharded_raw = [
-            {"bench": "BM_ShardedStem_ProbeChurn/shards:4",
-             "metric": "items_per_second", "value": 10.0},
-            {"bench": "BM_ShardedStem_Migration/shards:16",
-             "metric": "real_time_ns", "value": 20.0},
-            {"bench": "BM_Probe/10000", "metric": "real_time_ns",
-             "value": 30.0},
-        ]
-        sharded = attach_shards(
-            prefix_records(sharded_raw, "micro_sharded_stem"))
-        check(sharded[0].get("shards") == 4, "shards:4 arg lifted to field")
-        check(sharded[1].get("shards") == 16, "multi-digit shard count lifted")
-        check("shards" not in sharded[2], "non-sharded record untouched")
-        check(sharded[0]["bench"]
-              == "micro_sharded_stem/BM_ShardedStem_ProbeChurn/shards:4",
-              "shard extraction preserves the prefixed bench name")
-
-        # Batch-size extraction, alone and combined with a shard count (the
-        # micro_batch_pipeline sweep emits "batch:N/shards:M" names).
+        # Batch-size extraction (the micro_batch_pipeline sweep emits
+        # "batch:N" names); records without the arg are left untouched.
         batched_raw = [
-            {"bench": "BM_BatchPipeline_ProbeChurn/batch:64/shards:4",
+            {"bench": "BM_BatchPipeline_ProbeChurn/batch:64",
              "metric": "items_per_second", "value": 40.0},
             {"bench": "BM_BatchPipeline_GroupedEnumeration/batch:256",
              "metric": "real_time_ns", "value": 50.0},
             {"bench": "BM_Probe/10000", "metric": "real_time_ns",
              "value": 60.0},
         ]
-        batched = attach_shards(
+        batched = lift_args(
             prefix_records(batched_raw, "micro_batch_pipeline"))
-        check(batched[0].get("batch") == 64
-              and batched[0].get("shards") == 4,
-              "batch and shards both lifted from a combined name")
-        check(batched[1].get("batch") == 256
-              and "shards" not in batched[1],
-              "batch-only name lifts batch without inventing shards")
+        check(batched[0].get("batch") == 64, "batch:64 arg lifted to field")
+        check(batched[1].get("batch") == 256, "multi-digit batch size lifted")
         check("batch" not in batched[2], "non-batched record untouched")
+        check(batched[0]["bench"]
+              == "micro_batch_pipeline/BM_BatchPipeline_ProbeChurn/batch:64",
+              "batch extraction preserves the prefixed bench name")
 
         # Multi-query axis: the ablation_multiquery grid emits
-        # "queries:Q/shards:S/batch:B" names; the comparison records carry
-        # only the queries axis.
+        # "queries:Q/batch:B" names; the comparison records carry only the
+        # queries axis.
         mq_raw = [
-            {"bench": "abl_multiquery/queries:3/shards:2/batch:8",
+            {"bench": "abl_multiquery/queries:3/batch:8",
              "metric": "peak_memory_bytes", "value": 90.0},
             {"bench": "abl_multiquery/shared_vs_independent/queries:5",
              "metric": "shared_over_independent_memory", "value": 0.4},
         ]
-        mq = attach_shards(prefix_records(mq_raw, "ablation_multiquery"))
-        check(mq[0].get("queries") == 3 and mq[0].get("shards") == 2
-              and mq[0].get("batch") == 8,
-              "queries/shards/batch all lifted from a multi-query grid name")
-        check(mq[1].get("queries") == 5 and "shards" not in mq[1],
+        mq = lift_args(prefix_records(mq_raw, "ablation_multiquery"))
+        check(mq[0].get("queries") == 3 and mq[0].get("batch") == 8,
+              "queries/batch both lifted from a multi-query grid name")
+        check(mq[1].get("queries") == 5 and "batch" not in mq[1],
               "shared-vs-independent name lifts only the queries axis")
 
         out = os.path.join(tmpdir, "BENCH_2000-01-01.json")

@@ -7,7 +7,7 @@ Reads nothing but the JSONL trace and reports:
                          the run wall clock (requires --profile at capture);
   * span latency       — exact per-tuple latency percentiles from sampled
                          span events (requires --trace-sample at capture),
-                         plus per-stage counts and hop/fan-out statistics;
+                         plus per-stage counts and hop statistics;
   * tuner timeline     — per-epoch modelled vs realized probe cost and the
                          relative model error, one row per decision event.
 
@@ -159,7 +159,6 @@ def report_spans(trace: Trace, out) -> dict:
     stage_counts: dict[str, int] = defaultdict(int)
     latencies_us: list[float] = []
     hop_probe_ns: list[float] = []
-    fanout_widths: list[float] = []
     for ev in spans:
         data = ev.get("data", {})
         stage = data.get("stage", "?")
@@ -168,8 +167,6 @@ def report_spans(trace: Trace, out) -> dict:
             latencies_us.append(data.get("latency_ns", 0) / 1e3)
         elif stage == "hop":
             hop_probe_ns.append(data.get("probe_ns", 0))
-        elif stage == "fanout":
-            fanout_widths.append(data.get("width", 0))
     latencies_us.sort()
     stats = {
         "spans_done": len(latencies_us),
@@ -190,9 +187,6 @@ def report_spans(trace: Trace, out) -> dict:
         print(f"  hops: {len(hop_probe_ns)}, mean probe "
               f"{sum(hop_probe_ns) / len(hop_probe_ns) / 1e3:.3f} us",
               file=out)
-    if fanout_widths:
-        print(f"  fan-outs: {len(fanout_widths)}, mean width "
-              f"{sum(fanout_widths) / len(fanout_widths):.2f}", file=out)
     return stats
 
 
